@@ -90,6 +90,10 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _parse(path: str):
+    return dsl.parse(dsl.SourceUnit(_read(path), path))
+
+
 def _write_out(text: str, out):
     if out is None:
         sys.stdout.write(text)
@@ -106,8 +110,7 @@ def _parse_value(raw: str):
 
 
 def cmd_check(args) -> int:
-    static, events, behavior = dsl.parse(dsl.SourceUnit(_read(args.file),
-                                                       args.file))
+    static, events, behavior = _parse(args.file)
     report = validate_static(static)
     if behavior is not None:
         report.diagnostics.extend(
@@ -118,14 +121,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    static, events, behavior = dsl.parse(dsl.SourceUnit(_read(args.file),
-                                                       args.file))
+    static, events, behavior = _parse(args.file)
     sys.stdout.write(dsl.print_text(static, events, behavior))
     return OK
 
 
 def cmd_to_class(args) -> int:
-    static, _, _ = dsl.parse(dsl.SourceUnit(_read(args.file), args.file))
+    static, _, _ = _parse(args.file)
     _write_out(uml.write_class_json(uml.tm_to_class(static)), args.out)
     return OK
 
@@ -137,8 +139,7 @@ def cmd_to_tm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    static, events, behavior = dsl.parse(dsl.SourceUnit(_read(args.file),
-                                                       args.file))
+    static, events, behavior = _parse(args.file)
     if behavior is None:
         print("error: file declares no behavioral model", file=sys.stderr)
         return SEMANTIC
@@ -169,8 +170,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    static, events, behavior = dsl.parse(dsl.SourceUnit(_read(args.file),
-                                                       args.file))
+    static, events, behavior = _parse(args.file)
     opts = dot.RenderOptions(args.target, args.show_stores, args.rankdir)
     if args.target == "behavior":
         if behavior is None:

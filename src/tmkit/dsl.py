@@ -9,6 +9,7 @@ parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m).
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Optional
 
 from . import expr as ex
@@ -19,8 +20,23 @@ from .events import (BehavioralModel, BehaviorEdge, EventRegion,
 
 _KEYWORD_KINDS = {k.value: k for k in md.ActionKind}
 
-_PUNCT = ("-->", "->", ":=", "<=", ">=", "!=", "<", ">", "=", "{", "}",
-          ";", ",", ".", "(", ")", "+", "-")
+_BOOLEANS = {"true": True, "false": False}
+
+#: The lexical grammar: one named group per token kind, tried in order.
+#: Longer punctuation comes first, so `-->` wins over `->` over `-`.
+_TOKEN_RE = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<BLANK>[ \t\r]+)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<NUMBER>\d+(?:\.\d*)?)
+  | (?P<NAME>[^\W\d]\w*)
+  | (?P<ARROW>→)
+  | (?P<PUNCT>-->|->|:=|<=|>=|!=|[<>={};,.()+-])
+  | (?P<ERROR>[\s\S])
+""", re.VERBOSE)
+
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
 @dataclasses.dataclass
@@ -49,80 +65,46 @@ class _Token:
 def _tokenize(src: SourceUnit) -> list[_Token]:
     text = src.text
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset just past the last newline
+    match = None
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "BLANK" or kind == "COMMENT":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            line_start = match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "→":  # arrow alias
-            tokens.append(_Token("->", "->", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            value, length = _scan_string(text, i, line, col)
-            tokens.append(_Token("STRING", value, line, col))
-            i += length
-            col += length
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            raw = text[i:j]
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(_Token("NUMBER", value, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(punct, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", None, line, col))
+        value = match.group()
+        col = match.start() - line_start + 1
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "NAME":
+            # \w admits digits such as '²' that str.isalpha() rejects
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(line, col,
+                                 f"unexpected character {value[0]!r}")
+        elif kind == "STRING":
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "NUMBER":
+            try:
+                value = float(value) if "." in value else int(value)
+            except ValueError:  # more digits than int() accepts
+                raise ParseError(line, col, f"number too long: {len(value)} "
+                                 "digits") from None
+        elif kind == "ARROW":
+            kind = value = "->"
+        elif value == '"':  # ERROR: no closing quote on this line
+            raise ParseError(line, col, "unterminated string literal")
+        else:  # ERROR
+            raise ParseError(line, col, f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, line, col))
+    # a comment at the end of the text does not move the EOF position
+    end = len(text)
+    if match is not None and match.lastgroup == "COMMENT":
+        end = match.start()
+    tokens.append(_Token("EOF", None, line, end - line_start + 1))
     return tokens
-
-
-def _scan_string(text, start, line, col):
-    out = []
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i - start + 1
-        if ch == "\n":
-            break
-        if ch == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise ParseError(line, col, "unterminated string literal")
 
 
 @dataclasses.dataclass
@@ -132,6 +114,7 @@ class _EventDecl:
     covers: list[str]
     input_path: Optional[str]
     guard: Optional[ex.Expr]
+    guard_at: Optional[_Token]  # the `guard` keyword, for error positions
 
 
 class _Parser:
@@ -152,6 +135,10 @@ class _Parser:
     def at(self, type_: str, value=None) -> bool:
         tok = self.peek()
         return tok.type == type_ and (value is None or tok.value == value)
+
+    def take(self, type_: str, value=None) -> Optional[_Token]:
+        """Consume and return the next token if it matches, else None."""
+        return self.next() if self.at(type_, value) else None
 
     def expect(self, type_: str, value=None) -> _Token:
         tok = self.peek()
@@ -204,36 +191,28 @@ class _Parser:
         self.expect("NAME", "thimac")
         name = self.expect("NAME").value
         path = f"{prefix}.{name}" if prefix else name
-        specializes = False
-        if self.at("NAME", "specializes"):
-            self.next()
-            specializes = True
+        specializes = self.take("NAME", "specializes") is not None
         self.expect("{")
         store = None
         action_ids = []
         subthimacs = []
-        declared_kinds = set()
         while not self.at("}"):
             tok = self.peek()
             if self.at("NAME", "thimac"):
                 subthimacs.append(self.parse_thimac(path, actions))
-            elif self.at("NAME", "store"):
+            elif self.take("NAME", "store"):
                 if store is not None:
                     raise ParseError(tok.line, tok.col,
                                      f"store re-declared in '{path}'")
-                self.next()
-                value = None
-                if self.at("="):
-                    self.next()
-                    value = self.parse_literal()
+                store = md.Store(self.parse_literal() if self.take("=")
+                                 else None)
                 self.expect(";")
-                store = md.Store(value)
             elif tok.type == "NAME" and tok.value in _KEYWORD_KINDS:
                 kind = _KEYWORD_KINDS[tok.value]
-                if kind in declared_kinds:
+                aid = md.action_id(path, kind)
+                if aid in action_ids:
                     raise ParseError(tok.line, tok.col,
                                      f"{tok.value} re-declared in '{path}'")
-                declared_kinds.add(kind)
                 self.next()
                 update = None
                 if self.at("="):
@@ -246,7 +225,6 @@ class _Parser:
                     self.expect(":=")
                     update = (target, self.parse_additive())
                 self.expect(";")
-                aid = md.action_id(path, kind)
                 actions.append(md.Action(aid, kind, path, update))
                 action_ids.append(aid)
             else:
@@ -270,28 +248,24 @@ class _Parser:
     def parse_event(self) -> _EventDecl:
         self.expect("NAME", "event")
         event_id = self.expect("NAME").value
-        label = event_id
-        if self.at("STRING"):
-            label = self.next().value
+        label = self.next().value if self.at("STRING") else event_id
         self.expect("NAME", "covers")
         self.expect("{")
         covers = [self.parse_path()]
-        while self.at(","):
-            self.next()
+        while self.take(","):
             if self.at("}"):
                 break
             covers.append(self.parse_path())
         self.expect("}")
-        input_path = None
-        guard = None
-        if self.at("NAME", "input"):
-            self.next()
+        input_path = guard = None
+        if self.take("NAME", "input"):
             input_path = self.parse_path()
-        if self.at("NAME", "guard"):
-            self.next()
+        guard_at = self.take("NAME", "guard")
+        if guard_at:
             guard = self.parse_or()
         self.expect(";")
-        return _EventDecl(event_id, label, covers, input_path, guard)
+        return _EventDecl(event_id, label, covers, input_path, guard,
+                          guard_at)
 
     def parse_behavior(self) -> list[BehaviorEdge]:
         self.expect("NAME", "behavior")
@@ -301,10 +275,7 @@ class _Parser:
             src = self.expect("NAME").value
             self.expect("->")
             dst = self.expect("NAME").value
-            guard = None
-            if self.at("NAME", "guard"):
-                self.next()
-                guard = self.parse_or()
+            guard = self.parse_or() if self.take("NAME", "guard") else None
             self.expect(";")
             edges.append(BehaviorEdge(src, dst, guard))
         self.expect("}")
@@ -313,65 +284,60 @@ class _Parser:
     def parse_event_list(self, keyword) -> list[str]:
         self.expect("NAME", keyword)
         names = [self.expect("NAME").value]
-        while self.at(","):
-            self.next()
+        while self.take(","):
             names.append(self.expect("NAME").value)
         self.expect(";")
         return names
 
     def parse_path(self) -> str:
         parts = [self.expect("NAME").value]
-        while self.at("."):
-            self.next()
+        while self.take("."):
             parts.append(self.expect("NAME").value)
         return ".".join(parts)
 
-    def parse_literal(self):
+    def take_literal(self):
+        """Consume a literal and return its value, or return None."""
         tok = self.peek()
-        if tok.type == "NUMBER":
+        if tok.type == "NUMBER" or tok.type == "STRING":
             return self.next().value
-        if tok.type == "STRING":
-            return self.next().value
-        if self.at("NAME", "true"):
-            self.next()
-            return True
-        if self.at("NAME", "false"):
-            self.next()
-            return False
-        if self.at("-"):
-            self.next()
+        if tok.type == "NAME" and tok.value in _BOOLEANS:
+            return _BOOLEANS[self.next().value]
+        if self.take("-"):
             return -self.expect("NUMBER").value
-        raise ParseError(tok.line, tok.col,
-                         f"expected a literal, found {tok.value!r}",
-                         expected=["NUMBER", "STRING", "true", "false"])
+        return None
+
+    def parse_literal(self):
+        value = self.take_literal()
+        if value is None:
+            tok = self.peek()
+            raise ParseError(tok.line, tok.col,
+                             f"expected a literal, found {tok.value!r}",
+                             expected=["NUMBER", "STRING", "true", "false"])
+        return value
 
     # -- expressions --
 
     def parse_or(self) -> ex.Expr:
         left = self.parse_and()
-        while self.at("NAME", "or"):
-            self.next()
+        while self.take("NAME", "or"):
             left = ex.Binary("or", left, self.parse_and())
         return left
 
     def parse_and(self) -> ex.Expr:
         left = self.parse_not()
-        while self.at("NAME", "and"):
-            self.next()
+        while self.take("NAME", "and"):
             left = ex.Binary("and", left, self.parse_not())
         return left
 
     def parse_not(self) -> ex.Expr:
-        if self.at("NAME", "not"):
-            self.next()
+        if self.take("NAME", "not"):
             return ex.Unary("not", self.parse_not())
         return self.parse_comparison()
 
     def parse_comparison(self) -> ex.Expr:
         left = self.parse_additive()
         for op in ("<=", ">=", "!=", "<", ">", "="):
-            if self.at(op):
-                self.next()
+            if self.take(op):
                 return ex.Binary(op, left, self.parse_additive())
         return left
 
@@ -383,23 +349,14 @@ class _Parser:
         return left
 
     def parse_primary(self) -> ex.Expr:
-        tok = self.peek()
-        if tok.type in ("NUMBER", "STRING"):
-            return ex.Lit(self.next().value)
-        if self.at("NAME", "true"):
-            self.next()
-            return ex.Lit(True)
-        if self.at("NAME", "false"):
-            self.next()
-            return ex.Lit(False)
-        if self.at("-"):
-            self.next()
-            return ex.Lit(-self.expect("NUMBER").value)
-        if self.at("("):
-            self.next()
+        value = self.take_literal()
+        if value is not None:
+            return ex.Lit(value)
+        if self.take("("):
             inner = self.parse_or()
             self.expect(")")
             return inner
+        tok = self.peek()
         if tok.type == "NAME":
             return ex.PathRef(self.parse_path())
         raise ParseError(tok.line, tok.col,
@@ -413,8 +370,19 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     if isinstance(src, str):
         src = SourceUnit(src)
     parser = _Parser(_tokenize(src))
-    (thimacs, actions, flows, triggers, event_decls, behavior_edges,
-     terminals, repeatable) = parser.parse_file()
+    try:
+        (thimacs, actions, flows, triggers, event_decls, behavior_edges,
+         terminals, repeatable) = parser.parse_file()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError(tok.line, tok.col, "nesting too deep") from None
+    # an event guard is moved onto the event's incoming behavior edges
+    targets = {e.dst for e in behavior_edges or ()}
+    for d in event_decls:
+        if d.guard is not None and d.id not in targets:
+            raise ParseError(d.guard_at.line, d.guard_at.col,
+                             f"guard on event '{d.id}' has no incoming "
+                             "behavior edge")
     static = md.build_model(thimacs, actions, flows, triggers)
 
     events = [eventize(static, d.id, d.label, d.covers, d.input_path)
@@ -432,27 +400,18 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
     """Emit canonical DSL text; deterministic and parse-stable."""
     static = md.canonicalize(static)
-    blocks = []
-    for thimac in static.thimacs:
-        blocks.append("\n".join(_thimac_lines(thimac, static, "")))
-    edge_lines = [f"flow {e.src} -> {e.dst};" for e in static.flows]
-    if edge_lines:
-        blocks.append("\n".join(edge_lines))
-    trigger_lines = [f"trigger {e.src} --> {e.dst};"
-                     for e in static.triggers]
-    if trigger_lines:
-        blocks.append("\n".join(trigger_lines))
-    event_lines = [_event_line(ev) for ev in events]
-    if event_lines:
-        blocks.append("\n".join(event_lines))
+    blocks = ["\n".join(_thimac_lines(thimac, static, ""))
+              for thimac in static.thimacs]
+    sections = ([f"flow {e.src} -> {e.dst};" for e in static.flows],
+                [f"trigger {e.src} --> {e.dst};" for e in static.triggers],
+                [_event_line(ev) for ev in events])
+    blocks += ["\n".join(lines) for lines in sections if lines]
     if behavior is not None:
         blocks.append(_behavior_block(behavior))
-        if behavior.terminals:
-            blocks.append(
-                "terminal " + ", ".join(sorted(behavior.terminals)) + ";")
-        if behavior.repeatable:
-            blocks.append(
-                "repeatable " + ", ".join(sorted(behavior.repeatable)) + ";")
+        for keyword, names in (("terminal", behavior.terminals),
+                               ("repeatable", behavior.repeatable)):
+            if names:
+                blocks.append(f"{keyword} {', '.join(sorted(names))};")
     return "\n\n".join(blocks) + "\n"
 
 
@@ -485,7 +444,7 @@ def _event_line(event: EventRegion) -> str:
     covers = ", ".join(sorted(event.covers))
     line = f"event {event.id}"
     if event.label != event.id:
-        line += f' "{event.label}"'
+        line += f" {ex._lit_text(event.label)}"
     line += f" covers {{ {covers} }}"
     if event.input_path is not None:
         line += f" input {event.input_path}"

@@ -145,41 +145,44 @@ def check_behavior(behavior: BehavioralModel,
                            f"guard references storeless path '{path}'",
                            "GuardPathUnstored")
 
-    _check_cycles(behavior, report)
-    _check_reachability(behavior, report)
+    successors = {}
+    for edge in behavior.edges:
+        successors.setdefault(edge.src, []).append(edge.dst)
+    _check_cycles(behavior, successors, report)
+    _check_reachability(behavior, successors, report)
     return report
 
 
-def _check_cycles(behavior, report):
-    adjacency = {}
-    for edge in behavior.edges:
-        adjacency.setdefault(edge.src, []).append(edge.dst)
+def _check_cycles(behavior, successors, report):
+    """Depth-first search from each event in declaration order; an edge
+    back to a node still on the stack closes a cycle."""
     color = {}
-
-    def visit(node):
-        color[node] = "grey"
-        for nxt in adjacency.get(node, []):
-            if color.get(nxt) == "grey":
-                report.add("WARNING", nxt,
-                           "behavioral model contains a cycle through "
-                           f"'{nxt}'", "Cycle")
-            elif nxt not in color:
-                visit(nxt)
-        color[node] = "black"
-
     for event in behavior.events:
-        if event.id not in color:
-            visit(event.id)
+        if event.id in color:
+            continue
+        color[event.id] = "grey"
+        stack = [(event.id, iter(successors.get(event.id, ())))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if color.get(nxt) == "grey":
+                    report.add("WARNING", nxt,
+                               "behavioral model contains a cycle through "
+                               f"'{nxt}'", "Cycle")
+                elif nxt not in color:
+                    color[nxt] = "grey"
+                    stack.append((nxt, iter(successors.get(nxt, ()))))
+                    break
+            else:
+                color[node] = "black"
+                stack.pop()
 
 
-def _check_reachability(behavior, report):
+def _check_reachability(behavior, successors, report):
     reached = set(behavior.entry_events())
     stack = list(reached)
-    adjacency = {}
-    for edge in behavior.edges:
-        adjacency.setdefault(edge.src, []).append(edge.dst)
     while stack:
-        for nxt in adjacency.get(stack.pop(), []):
+        for nxt in successors.get(stack.pop(), ()):
             if nxt not in reached:
                 reached.add(nxt)
                 stack.append(nxt)

@@ -174,10 +174,8 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     Stage legality is deliberately not checked here; see validate_static.
     """
     thimacs = tuple(thimacs)
-    _check_sibling_names("", thimacs)
     paths = set()
-    for path, _ in StaticModel(thimacs, {}, (), ()).iter_thimacs():
-        paths.add(path)
+    _check_sibling_names("", thimacs, paths)
 
     table: dict[str, Action] = {}
     for action in actions:
@@ -208,15 +206,16 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     return StaticModel(thimacs, table, tuple(flows), tuple(triggers))
 
 
-def _check_sibling_names(prefix, thimacs):
+def _check_sibling_names(prefix, thimacs, paths):
+    """Add the dotted path of every thimac in the tree to `paths`."""
     seen = set()
     for t in thimacs:
+        path = f"{prefix}.{t.name}" if prefix else t.name
         if t.name in seen:
-            where = f"{prefix}.{t.name}" if prefix else t.name
-            raise DuplicateSiblingName(f"duplicate sibling thimac '{where}'")
+            raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
         seen.add(t.name)
-        child_prefix = f"{prefix}.{t.name}" if prefix else t.name
-        _check_sibling_names(child_prefix, t.subthimacs)
+        paths.add(path)
+        _check_sibling_names(path, t.subthimacs, paths)
 
 
 def _check_endpoints(edge, table):
@@ -264,7 +263,7 @@ def canonicalize(model: StaticModel) -> StaticModel:
         ids = tuple(sorted(
             t.action_ids, key=lambda i: _KIND_RANK[model.actions[i].kind]))
         return dataclasses.replace(
-            t, action_ids=ids, subthimacs=tuple(fix(s) for s in t.subthimacs))
+            t, action_ids=ids, subthimacs=tuple(map(fix, t.subthimacs)))
 
     thimacs = tuple(fix(t) for t in model.thimacs)
     actions = {aid: model.actions[aid] for aid in sorted(model.actions)}

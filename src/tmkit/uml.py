@@ -19,8 +19,6 @@ from .errors import AmbiguousSubthimac, CyclicGeneralization, SchemaError
 
 log = logging.getLogger(__name__)
 
-VALUE_TYPES = md.VALUE_TYPES
-
 #: default store literal used when expanding an attribute of a given type
 _TYPE_DEFAULTS = {"number": 0, "text": "", "boolean": False,
                   "reference": None}
@@ -239,7 +237,7 @@ def _read_class(raw, where) -> ClassDef:
             params.append((_read_str(p, "name", psub),
                            _read_type(p, "type", psub)))
         returns = item.get("returns")
-        _require(returns is None or returns in VALUE_TYPES,
+        _require(returns is None or returns in md.VALUE_TYPES,
                  f"{sub}/returns", "expected a value type or null")
         methods.append(MethodDef(_read_str(item, "name", sub),
                                  tuple(params), returns))
@@ -255,8 +253,8 @@ def _read_str(raw, key, where):
 
 def _read_type(raw, key, where):
     _require(key in raw, f"{where}/{key}", "missing")
-    _require(raw[key] in VALUE_TYPES, f"{where}/{key}",
-             f"expected one of {', '.join(VALUE_TYPES)}")
+    _require(raw[key] in md.VALUE_TYPES, f"{where}/{key}",
+             f"expected one of {', '.join(md.VALUE_TYPES)}")
     return raw[key]
 
 

@@ -13,8 +13,8 @@ import time
 from tmkit import corpus, dsl, sim, uml
 from tmkit.dot import emit_dot
 from tmkit.dsl import parse, print_text
-from tmkit.model import (ActionKind, LEGAL_INTER, LEGAL_INTRA, action_id,
-                         canonicalize, validate_static)
+from tmkit.model import (ActionKind, LEGAL_INTER, LEGAL_INTRA, VALUE_TYPES,
+                         action_id, canonicalize, validate_static)
 from tmkit.uml import AttributeDef, ClassDef, ClassModel, MethodDef
 
 
@@ -89,7 +89,7 @@ def _random_class_model(rng):
         members = rng.sample(member_pool, rng.randint(0, 10))
         split = rng.randint(0, min(5, len(members)))
         attrs = tuple(
-            AttributeDef(m, rng.choice(uml.VALUE_TYPES))
+            AttributeDef(m, rng.choice(VALUE_TYPES))
             for m in members[:split])
         methods = tuple(MethodDef(m) for m in members[split:split + 5])
         classes.append(ClassDef(name, attrs, methods, parent))

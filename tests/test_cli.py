@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tmkit import cli, corpus
+from tmkit import cli, corpus, dsl
 
 
 def run(capsys, *argv):
@@ -81,6 +82,103 @@ def test_fmt_garbage(capsys, tmp_path):
     bad.write_text("%%%%")
     code, out, err = run(capsys, "fmt", str(bad))
     assert code == 2
+
+
+def test_fmt_label_with_quotes_is_stable(capsys, tmp_path):
+    src = tmp_path / "label.tm"
+    src.write_text('thimac A { create; }\n'
+                   'event E "say \\"hi\\"" covers { A.create };\n')
+    code, once, err = run(capsys, "fmt", str(src))
+    assert code == 0
+    assert 'event E "say \\"hi\\"" covers' in once
+    again = tmp_path / "again.tm"
+    again.write_text(once)
+    assert run(capsys, "fmt", str(again)) == (0, once, "")
+
+
+# -- exit codes on hostile input --
+
+@pytest.mark.parametrize("source", [
+    "thimac A { store = 1.2.3; }",
+    "thimac A { store = ²; }",
+    "thimac A { store = " + "9" * 5000 + "; }",
+    "thimac A { store = 0; process = A := "
+    + "(" * 2000 + "A" + ")" * 2000 + "; }",
+    "thimac A { " * 1200 + "}" * 1200,
+    "thimac A { store = 1; create; }\n"
+    "event E covers { A.create } guard A = 2;\n",
+], ids=["dotted-number", "superscript-digit", "long-integer",
+        "nested-parens", "nested-thimacs", "entry-guard"])
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_front_end_errors_exit_2(capsys, tmp_path, command, source):
+    path = tmp_path / "bad.tm"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("parse error: ")
+    line, col = err.split(":")[1:3]
+    assert int(line) >= 1 and int(col) >= 1
+
+
+def test_fmt_deep_nesting(capsys, tmp_path):
+    path = tmp_path / "deep.tm"
+    path.write_text("thimac A { create; " * 600 + "}" * 600)
+    code, out, err = run(capsys, "fmt", str(path))
+    assert code == 0
+    assert out.count("thimac A {") == 600
+
+
+def test_check_long_chain(capsys, tmp_path):
+    n = 3000
+    lines = [f"thimac T{i} {{ create; }}" for i in range(n)]
+    lines += [f"event E{i} covers {{ T{i}.create }};" for i in range(n)]
+    lines += ["behavior {"]
+    lines += [f"    E{i} -> E{i + 1};" for i in range(n - 1)]
+    lines += ["}"]
+    path = tmp_path / "chain.tm"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code in (0, 1)
+    assert err == ""
+
+
+_FRAGMENTS = ["thimac", "A", "B", "A.create", "{", "}", ";", ",", ".", "=",
+              "store", "create", "process", "release", "transfer", "receive",
+              "specializes", "flow", "trigger", "->", "-->", "→", ":=",
+              "event", "covers", "input", "guard", "behavior", "terminal",
+              "repeatable", "E", "F", "not", "and", "or", "<", ">=", "!=",
+              "+", "-", "(", ")", "1", "1.", "2.5", '"s"', '"\\""', "true",
+              "false", "# c\n", "\n", '"', "\\", "²"]
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A shipped fixture with tokens deleted, duplicated and swapped."""
+    text = corpus.fixture_text(draw(st.sampled_from(corpus.FIXTURES)))
+    pieces = [m.group() for m in dsl._TOKEN_RE.finditer(text)]
+    tokens = [i for i, p in enumerate(pieces)
+              if not p.isspace() and not p.startswith("#")]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if op == "delete":
+            pieces[i] = ""
+        elif op == "duplicate":
+            pieces[i] = pieces[i] + " " + pieces[i]
+        else:
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(),
+                      st.lists(st.sampled_from(_FRAGMENTS)).map(" ".join),
+                      _mutated_fixture()),
+       command=st.sampled_from(["check", "fmt"]))
+def test_check_and_fmt_never_exit_3(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "hostile.tm"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(path)]) != 3
 
 
 # -- to-class / to-tm --

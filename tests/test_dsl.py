@@ -60,6 +60,12 @@ def test_error_positions_inside_file():
         "event E covers { };",
         'thimac A { store = ; }',
         "behavior { E1 -> ; }",
+        "thimac A { store = 1.2.3; }",
+        "thimac A { store = ²; }",
+        "thimac A {\n store = " + "9" * 5000 + "; }",
+        "thimac A { store = 0; process = A := "
+        + "(" * 2000 + "A" + ")" * 2000 + "; }",
+        "thimac A { " * 1200 + "}" * 1200,
     ]
     for src in bad:
         with pytest.raises(dsl.ParseError) as exc:
@@ -124,8 +130,91 @@ def test_parse_is_pure():
 
 def test_guard_expression_grammar():
     src = ("thimac A { store = 0; } thimac B { store = 0; process; }\n"
+           "event D covers { B.process };\n"
            "event E covers { B.process } guard "
            "(A < 0 or A >= 10) and not B != 3;\n"
-           "behavior { }\n")
+           "behavior { D -> E; }\n")
     static, events, behavior = dsl.parse(src)
-    assert events[0].id == "E"
+    assert events[1].id == "E"
+    assert behavior.edges[0].guard.op == "and"
+
+
+def _stream(text):
+    return [(t.type, t.value, t.line, t.col)
+            for t in dsl._tokenize(dsl.SourceUnit(text))]
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a comment at EOF leaves EOF at the comment's column
+    ("a # note", [("NAME", "a", 1, 1), ("EOF", None, 1, 3)]),
+    ("# only\n", [("EOF", None, 2, 1)]),
+    # \r is a blank, so \r\n ends a line like \n
+    ("a\r\nbc\r\n", [("NAME", "a", 1, 1), ("NAME", "bc", 2, 1),
+                     ("EOF", None, 3, 1)]),
+    ("x → y", [("NAME", "x", 1, 1), ("->", "->", 1, 3),
+               ("NAME", "y", 1, 5), ("EOF", None, 1, 6)]),
+    ("-->->-", [("-->", "-->", 1, 1), ("->", "->", 1, 4), ("-", "-", 1, 6),
+                ("EOF", None, 1, 7)]),
+    ("a:=b<=c>=d!=e<f>g=h", [
+        ("NAME", "a", 1, 1), (":=", ":=", 1, 2), ("NAME", "b", 1, 4),
+        ("<=", "<=", 1, 5), ("NAME", "c", 1, 7), (">=", ">=", 1, 8),
+        ("NAME", "d", 1, 10), ("!=", "!=", 1, 11), ("NAME", "e", 1, 13),
+        ("<", "<", 1, 14), ("NAME", "f", 1, 15), (">", ">", 1, 16),
+        ("NAME", "g", 1, 17), ("=", "=", 1, 18), ("NAME", "h", 1, 19),
+        ("EOF", None, 1, 20)]),
+    ("{};,.()+", [(c, c, 1, i + 1) for i, c in enumerate("{};,.()+")]
+     + [("EOF", None, 1, 9)]),
+    ("1. 2.5 07 3.x", [("NUMBER", 1.0, 1, 1), ("NUMBER", 2.5, 1, 4),
+                       ("NUMBER", 7, 1, 8), ("NUMBER", 3.0, 1, 11),
+                       ("NAME", "x", 1, 13), ("EOF", None, 1, 14)]),
+    # a backslash takes the next character verbatim
+    (r'"a\"b\\c\n" z', [("STRING", 'a"b\\cn', 1, 1), ("NAME", "z", 1, 13),
+                        ("EOF", None, 1, 14)]),
+    ('""', [("STRING", "", 1, 1), ("EOF", None, 1, 3)]),
+    ("\tüber_1 _x", [("NAME", "über_1", 1, 2), ("NAME", "_x", 1, 9),
+                     ("EOF", None, 1, 11)]),
+])
+def test_tokenizer_table(text, expected):
+    stream = _stream(text)
+    assert stream == expected
+    assert [type(t[1]) for t in stream] == [type(t[1]) for t in expected]
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ('a\n  "abc', 2, 3, "unterminated string literal"),
+    ('a\n  "abc\nd"', 2, 3, "unterminated string literal"),
+    ('"abc\\', 1, 1, "unterminated string literal"),
+    ("a\n b ! c", 2, 4, "unexpected character '!'"),
+    ("a :", 1, 3, "unexpected character ':'"),
+    ("a ½", 1, 3, "unexpected character '½'"),
+    ("store = ²;", 1, 9, "unexpected character '²'"),
+])
+def test_tokenizer_error_positions(text, line, col, message):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl._tokenize(dsl.SourceUnit(text))
+    assert (exc.value.line, exc.value.column, exc.value.message) == \
+        (line, col, message)
+
+
+def test_literal_errors_keep_their_messages():
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse("thimac A { store = x; }")
+    assert exc.value.expected == ["NUMBER", "STRING", "true", "false"]
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse("thimac A { store = 0; process = A := ; }")
+    assert exc.value.expected == ["NUMBER", "STRING", "NAME", "("]
+    static, _, _ = dsl.parse(
+        "thimac A { store = -2; process = A := A - -1.5 + true; }")
+    assert static.thimacs[0].store.value == -2
+    assert static.actions["A.process"].update[1].right.value is True
+
+
+def test_guard_on_entry_event_is_rejected():
+    src = ("thimac A { store = 1; create; }\n"
+           "event E covers { A.create } guard A = 2;\n")
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(src)
+    assert (exc.value.line, exc.value.column) == (2, 29)
+    with pytest.raises(dsl.ParseError):
+        dsl.parse(src + "event F covers { A.create };\n"
+                        "behavior { E -> F; }\n")

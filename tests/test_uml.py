@@ -3,8 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmkit import dsl, errors, uml
-from tmkit.model import ActionKind, StaticModel, validate_static
+from tmkit import dsl, errors
+from tmkit.events import eventize
+from tmkit.model import (VALUE_TYPES, ActionKind, StaticModel, canonicalize,
+                         validate_static)
 from tmkit.uml import (AttributeDef, ClassDef, ClassModel, MethodDef,
                        class_to_tm, read_class_json, tm_to_class,
                        write_class_json)
@@ -97,7 +99,7 @@ def test_cyclic_generalization_rejected():
 # -- random class models --
 
 _name = st.from_regex(r"[a-z][a-zA-Z0-9]{0,7}", fullmatch=True)
-_type = st.sampled_from(uml.VALUE_TYPES)
+_type = st.sampled_from(VALUE_TYPES)
 
 
 @st.composite
@@ -140,10 +142,19 @@ def _depth_first(classes):
     return tuple(out)
 
 
+_label = st.one_of(st.text(), st.text(alphabet='a "\\\n#'))
+
+
 @settings(max_examples=100, deadline=None)
-@given(class_models())
-def test_round_trip_random_models(cm):
-    assert tm_to_class(class_to_tm(cm)) == cm
+@given(class_models(), st.lists(_label, max_size=3))
+def test_round_trip_random_models(cm, labels):
+    static = class_to_tm(cm)
+    assert tm_to_class(static) == cm
+    # the scaffold's text form keeps event labels with quotes and escapes
+    events = [eventize(static, f"E{i}", label, [aid])
+              for i, (label, aid) in enumerate(zip(labels, static.actions))]
+    text = dsl.print_text(static, events)
+    assert dsl.parse(text) == (canonicalize(static), events, None)
 
 
 @settings(max_examples=50, deadline=None)
