@@ -1,39 +1,54 @@
 """Execute a behavioral model over a static model and record a trace.
 
-Firing is deterministic: among simultaneously enabled events the
-lexicographically smallest id fires first, and the covered actions of a
-region execute in flow-topological order. Create is the only operation
-that mints a thing-token; all other actions merely move tokens along
-covered flows or rewrite stores via their update rules.
+Firing rule. An event is enabled when it has not fired yet, or it is
+repeatable and a trigger covered by a firing event has reached it since
+it last fired, and when either
+
+- some incoming behavior edge comes from a fired event and its guard
+  (if any) holds against the current stores, or
+- it has no incoming edge (an entry event).
+
+An event that is enabled through an edge but has no input payload raises
+MissingInput; an entry event without its payload simply never starts.
+Among the enabled events the lexicographically smallest id fires, and
+its covered actions execute in flow-topological order. Create is the
+only operation that mints a thing-token; every other action moves the
+tokens of its covered flow predecessors to itself, and a Process action
+may rewrite a store by its update rule.
+
+Cost. A run first builds a `_Plan` from one pass over the static flows
+and triggers; an event's firing steps are built on its first firing and
+reused. The run then keeps a candidate set: at the start it holds the
+entry events, and after an event fires only its behavior successors and
+the events its triggers reach can join. A run therefore costs
+O(flows + triggers + edges) once, plus per step the size of the firing
+region and the candidates scanned (in id order, up to the one that
+fires), instead of a scan of the whole model.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 from typing import Optional
 
 from . import expr as ex
 from . import model as md
 from .errors import FillPathUnstored, MissingInput, TypeMismatch
-from .events import BehavioralModel, EventRegion, region_edges
+from .events import BehavioralModel, EventRegion
 
 DEFAULT_MAX_STEPS = 10_000
 
-
-@dataclasses.dataclass
-class ThingToken:
-    id: str
-    value: Optional[ex.Value]
-    location: str  # action id (or store path once deposited)
+_NONE: frozenset[str] = frozenset()
 
 
 @dataclasses.dataclass
 class WorldState:
     stores: dict[str, object]  # path -> value or expr.UNSET
     declared_types: dict[str, Optional[str]]
-    tokens: list[ThingToken] = dataclasses.field(default_factory=list)
-    step: int = 0
+    #: thing-tokens per location (action id); locations with none are absent
+    tokens: dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,44 +112,120 @@ def evaluate_guard(guard: ex.Expr, world: WorldState) -> bool:
     return bool(ex.evaluate(guard, world.stores))
 
 
+class _Plan:
+    """What the run loop needs from one (static, behavior) pair.
+
+    Everything but the firing steps comes from one pass over the static
+    flows and triggers and the behavior edges; `steps` builds an event's
+    firing steps on its first firing and caches them.
+    """
+
+    def __init__(self, static: md.StaticModel, behavior: BehavioralModel):
+        self.static = static
+        self.repeatable = behavior.repeatable
+        self.events = {event.id: event for event in behavior.events}
+        covering: dict[str, set[str]] = {}  # action id -> ids of covers
+        for event in behavior.events:
+            for aid in event.covers:
+                covering.setdefault(aid, set()).add(event.id)
+
+        def covered_by(edge):  # the events that cover both ends
+            return (covering.get(edge.src, _NONE)
+                    & covering.get(edge.dst, _NONE))
+
+        #: event id -> its covered flows, in static order
+        self.flows: dict[str, list[md.FlowEdge]] = {}
+        for edge in static.flows:
+            for eid in covered_by(edge):
+                self.flows.setdefault(eid, []).append(edge)
+        #: event id -> events covering the target of a covered trigger
+        self.reach: dict[str, set[str]] = {}
+        for edge in static.triggers:
+            for eid in covered_by(edge):
+                self.reach.setdefault(eid, set()).update(covering[edge.dst])
+        self.incoming: dict[str, list] = {}
+        self.successors: dict[str, list[str]] = {}
+        for edge in behavior.edges:
+            self.incoming.setdefault(edge.dst, []).append(edge)
+            self.successors.setdefault(edge.src, []).append(edge.dst)
+        self.entries = [eid for eid in self.events
+                        if eid not in self.incoming]
+        self._steps: dict[str, tuple] = {}
+
+    def steps(self, event: EventRegion):
+        """(actions in firing order, firing steps) of one event; a step is
+        (action id, is a Create, sorted flow predecessors, update rule)."""
+        cached = self._steps.get(event.id)
+        if cached is None:
+            flows = self.flows.get(event.id, ())
+            preds: dict[str, list[str]] = {}
+            for edge in flows:
+                preds.setdefault(edge.dst, []).append(edge.src)
+            order = tuple(_topo_order(event.covers, flows))
+            actions = self.static.actions
+            steps = tuple(
+                (aid, actions[aid].kind is md.ActionKind.CREATE,
+                 tuple(sorted(preds.get(aid, ()))), actions[aid].update)
+                for aid in order)
+            cached = self._steps[event.id] = (order, steps)
+        return cached
+
+
 def simulate(static: md.StaticModel, behavior: BehavioralModel,
              world: WorldState, inputs=None,
              max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     """Fire enabled events until quiescence or budget exhaustion."""
     assert max_steps >= 1
     inputs = inputs or {}
+    plan = _Plan(static, behavior)
     fired: set[str] = set()
     triggered: set[str] = set()
-    incoming: dict[str, list] = {}
-    for edge in behavior.edges:
-        incoming.setdefault(edge.dst, []).append(edge)
+    candidates = set(plan.entries)
     entries: list[TraceEntry] = []
-    terminals = behavior.terminal_events()
 
     while True:
-        event = _next_enabled(behavior, incoming, fired, triggered, inputs,
+        event = _next_enabled(plan, candidates, fired, triggered, inputs,
                               world)
         if event is None:
+            terminals = behavior.terminal_events()
             outcome = "Completed" if fired & terminals else "Stuck"
             break
         if len(entries) >= max_steps:
             outcome = "StepBudgetExhausted"
             break
-        entries.append(_fire(static, behavior, event, world, inputs,
+        entries.append(_fire(plan, event, len(entries) + 1, world, inputs,
                              triggered))
         fired.add(event.id)
         triggered.discard(event.id)
+        _update_candidates(plan, event.id, candidates, fired, triggered)
     return Trace(tuple(entries), outcome)
 
 
-def _next_enabled(behavior, incoming, fired, triggered, inputs, world):
-    for event in sorted(behavior.events, key=lambda e: e.id):
-        if event.id in fired:
-            if event.id not in behavior.repeatable:
+def _update_candidates(plan, eid, candidates, fired, triggered):
+    """After `eid` fires, only it, its successors and the events its
+    triggers reach can change whether they pass `_next_enabled`."""
+    candidates.discard(eid)
+    repeatable = plan.repeatable
+    for nxt in plan.successors.get(eid, ()):
+        if nxt not in fired or (nxt in repeatable and nxt in triggered):
+            candidates.add(nxt)
+    for other in plan.reach.get(eid, ()):
+        if (other in fired and other in repeatable and other in triggered
+                and (other not in plan.incoming
+                     or any(edge.src in fired
+                            for edge in plan.incoming[other]))):
+            candidates.add(other)
+
+
+def _next_enabled(plan, candidates, fired, triggered, inputs, world):
+    for eid in sorted(candidates):
+        if eid in fired:
+            if eid not in plan.repeatable:
                 continue
-            if event.id not in triggered:
+            if eid not in triggered:
                 continue
-        edges = incoming.get(event.id, [])
+        event = plan.events[eid]
+        edges = plan.incoming.get(eid)
         if edges:
             satisfied = any(
                 edge.src in fired and (
@@ -142,54 +233,41 @@ def _next_enabled(behavior, incoming, fired, triggered, inputs, world):
                 for edge in edges)
             if not satisfied:
                 continue
-            if event.input_path is not None and event.id not in inputs:
-                raise MissingInput(
-                    f"event '{event.id}' needs an input payload")
+            if event.input_path is not None and eid not in inputs:
+                raise MissingInput(f"event '{eid}' needs an input payload")
         else:
             # entry event: without its payload it simply never starts
-            if event.input_path is not None and event.id not in inputs:
+            if event.input_path is not None and eid not in inputs:
                 continue
         return event
     return None
 
 
-def _fire(static, behavior, event: EventRegion, world: WorldState, inputs,
+def _fire(plan, event: EventRegion, step: int, world: WorldState, inputs,
           triggered) -> TraceEntry:
-    world.step += 1
     deltas: list[StoreDelta] = []
     if event.input_path is not None:
         old = _write_store(world, event.input_path, inputs[event.id])
         deltas.append(StoreDelta(event.input_path, old,
                                  world.stores[event.input_path]))
 
-    flows, triggers = region_edges(static, event)
-    order = _topo_order(event.covers, flows)
-    preds: dict[str, list[str]] = {}
-    for edge in flows:
-        preds.setdefault(edge.dst, []).append(edge.src)
-
-    for aid in order:
-        action = static.actions[aid]
-        if action.kind is md.ActionKind.CREATE:
-            token = ThingToken(f"t{len(world.tokens) + 1}", None, aid)
-            world.tokens.append(token)
+    order, steps = plan.steps(event)
+    tokens = world.tokens
+    for aid, create, preds, update in steps:
+        if create:
+            tokens[aid] = tokens.get(aid, 0) + 1
         else:
-            for src in sorted(preds.get(aid, [])):
-                for token in world.tokens:
-                    if token.location == src:
-                        token.location = aid
-        if action.update is not None:
-            target, rule = action.update
+            for src in preds:
+                if src != aid and src in tokens:
+                    tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
+        if update is not None:
+            target, rule = update
             value = ex.evaluate(rule, world.stores)
             old = _write_store(world, target, value)
             deltas.append(StoreDelta(target, old, value))
 
-    for edge in triggers:
-        for other in behavior.events:
-            if edge.dst in other.covers:
-                triggered.add(other.id)
-
-    return TraceEntry(world.step, event.id, tuple(order), tuple(deltas))
+    triggered.update(plan.reach.get(event.id, ()))
+    return TraceEntry(step, event.id, order, tuple(deltas))
 
 
 def _topo_order(covers, flows) -> list[str]:
@@ -200,16 +278,16 @@ def _topo_order(covers, flows) -> list[str]:
     for edge in flows:
         indegree[edge.dst] += 1
         succs.setdefault(edge.src, []).append(edge.dst)
-    ready = sorted(a for a, d in indegree.items() if d == 0)
+    ready = [a for a, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        aid = ready.pop(0)
+        aid = heapq.heappop(ready)
         order.append(aid)
         for nxt in succs.get(aid, []):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
+                heapq.heappush(ready, nxt)
     if len(order) != len(indegree):
         return sorted(covers)
     return order
