@@ -9,6 +9,7 @@ parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m).
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from typing import Optional
 
@@ -90,8 +91,10 @@ def _tokenize(src: SourceUnit) -> list[_Token]:
             try:
                 value = float(value) if "." in value else int(value)
             except ValueError:  # more digits than int() accepts
-                raise ParseError(line, col, f"number too long: {len(value)} "
-                                 "digits") from None
+                value = math.inf
+            if value == math.inf:  # or a float beyond the largest double
+                raise ParseError(line, col, "number too long: "
+                                 f"{len(match.group())} digits")
         elif kind == "ARROW":
             kind = value = "->"
         elif value == '"':  # ERROR: no closing quote on this line
@@ -376,13 +379,17 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     except RecursionError:
         tok = parser.peek()
         raise ParseError(tok.line, tok.col, "nesting too deep") from None
-    # an event guard is moved onto the event's incoming behavior edges
+    # an event guard is moved onto its incoming behavior edges that have
+    # no guard of their own; with no such edge it would be dropped
     targets = {e.dst for e in behavior_edges or ()}
+    unguarded = {e.dst for e in behavior_edges or () if e.guard is None}
     for d in event_decls:
-        if d.guard is not None and d.id not in targets:
-            raise ParseError(d.guard_at.line, d.guard_at.col,
-                             f"guard on event '{d.id}' has no incoming "
-                             "behavior edge")
+        if d.guard is None or d.id in unguarded:
+            continue
+        why = ("every incoming behavior edge has its own guard"
+               if d.id in targets else "it has no incoming behavior edge")
+        raise ParseError(d.guard_at.line, d.guard_at.col,
+                         f"guard on event '{d.id}' is unused: {why}")
     static = md.build_model(thimacs, actions, flows, triggers)
 
     events = [eventize(static, d.id, d.label, d.covers, d.input_path)

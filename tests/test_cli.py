@@ -107,8 +107,14 @@ def test_fmt_label_with_quotes_is_stable(capsys, tmp_path):
     "thimac A { " * 1200 + "}" * 1200,
     "thimac A { store = 1; create; }\n"
     "event E covers { A.create } guard A = 2;\n",
+    "thimac A { store = 1; thimac B { store = 1; create; } }\n"
+    "event D covers { A.B.create };\n"
+    "event E covers { A.B.create } guard A = 2;\n"
+    "behavior { D -> E guard A.B = 1; }\n",
+    "thimac A { store = " + "9" * 400 + ".; }",
 ], ids=["dotted-number", "superscript-digit", "long-integer",
-        "nested-parens", "nested-thimacs", "entry-guard"])
+        "nested-parens", "nested-thimacs", "entry-guard",
+        "overridden-guard", "infinite-float"])
 @pytest.mark.parametrize("command", ["check", "fmt"])
 def test_front_end_errors_exit_2(capsys, tmp_path, command, source):
     path = tmp_path / "bad.tm"
@@ -140,6 +146,37 @@ def test_check_long_chain(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert code in (0, 1)
     assert err == ""
+
+
+def _long_chains():
+    """(name, guard on D -> E, update rule of A.process) with thousands of
+    operands in a row."""
+    yield "plus-guard", " + ".join(["A"] * 3000) + " > 0", "A + 1"
+    yield "and-guard", " and ".join(["A = 1"] * 3000), "A + 1"
+    yield "or-guard", " or ".join(["A = 1"] * 3000), "A + 1"
+    yield "minus-rule", "A = 1", " - ".join(["A"] * 5000)
+
+
+@pytest.mark.parametrize("guard, rule", [
+    chain[1:] for chain in _long_chains()],
+    ids=[chain[0] for chain in _long_chains()])
+def test_long_operator_chains(capsys, tmp_path, guard, rule):
+    path = tmp_path / "long.tm"
+    path.write_text("thimac A { store = 1; create; "
+                    f"process = A := {rule}; }}\n"
+                    "flow A.create -> A.process;\n"
+                    "event D covers { A.create };\n"
+                    "event E covers { A.process };\n"
+                    f"behavior {{ D -> E guard {guard}; }}\n")
+    assert run(capsys, "check", str(path)) == (0, "", "")
+    code, once, err = run(capsys, "fmt", str(path))
+    assert (code, err) == (0, "")
+    again = tmp_path / "again.tm"
+    again.write_text(once)
+    assert run(capsys, "fmt", str(again)) == (0, once, "")
+    code, out, err = run(capsys, "simulate", str(path), "--world", "A=1")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2
 
 
 _FRAGMENTS = ["thimac", "A", "B", "A.create", "{", "}", ";", ",", ".", "=",
@@ -256,6 +293,18 @@ def test_simulate_budget_exhaustion(capsys, beef_path):
                          "--input", "E1:order", "--max-steps", "1")
     assert code == 1
     assert "StepBudgetExhausted" in err
+
+
+def test_simulate_type_error_exits_1(capsys, tmp_path):
+    path = tmp_path / "types.tm"
+    path.write_text('thimac A { store = 1; create; process = A := A + "x"; }\n'
+                    "flow A.create -> A.process;\n"
+                    "event E covers { A.create, A.process };\n"
+                    "event F covers { A.create };\n"
+                    "behavior { E -> F; }\n")
+    code, out, err = run(capsys, "simulate", str(path), "--world", "A=1")
+    assert code == 1
+    assert err == "error: cannot compute 1 + 'x'\n"
 
 
 def test_simulate_deterministic(capsys, bank_path):

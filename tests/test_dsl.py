@@ -1,6 +1,7 @@
 import pytest
 
 from tmkit import corpus, dsl
+from tmkit.expr import to_text
 from tmkit.model import ActionKind, canonicalize
 
 STACK_SRC = ("thimac Stack { store; transfer; receive; create; } "
@@ -218,3 +219,31 @@ def test_guard_on_entry_event_is_rejected():
     with pytest.raises(dsl.ParseError):
         dsl.parse(src + "event F covers { A.create };\n"
                         "behavior { E -> F; }\n")
+
+
+def test_guard_overridden_by_every_edge_guard_is_rejected():
+    src = ("thimac A { store = 1; thimac B { store = 1; create; } }\n"
+           "event D covers { A.B.create };\n"
+           "event E covers { A.B.create } guard A = 2;\n"
+           "behavior { D -> E guard A.B = 1; }\n")
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(src)
+    assert (exc.value.line, exc.value.column) == (3, 31)
+    assert "every incoming behavior edge has its own guard" in str(exc.value)
+    # with one unguarded incoming edge the event guard lands there
+    _, _, behavior = dsl.parse(src.replace("behavior { ",
+                                           "behavior { D -> E; "))
+    assert to_text(behavior.edges[0].guard) == "A = 2"
+    assert to_text(behavior.edges[1].guard) == "A.B = 1"
+
+
+def test_float_literals_print_without_exponent():
+    src = ("thimac A { store = 10000000000000000.0; }\n"
+           "thimac B { store = 0.00001; }\n")
+    static, _, _ = dsl.parse(src)
+    text = dsl.print_text(static)
+    assert "store = 10000000000000000.0;" in text
+    assert "store = 0.00001;" in text
+    assert dsl.parse(text)[0] == static
+    with pytest.raises(dsl.ParseError, match="1:20: number too long"):
+        dsl.parse("thimac A { store = " + "9" * 400 + ".; }")

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,97 @@ def test_human_not_fired_keeps_weight(human):
     trace = sim.simulate(static, behavior, world, {})
     assert trace.outcome == "Stuck"
     assert world.stores["Human.weight"] == 110
+
+
+# -- loops and tokens --
+
+LOOP = """
+thimac C { store = 0; create; process = C := C + 1; release; }
+thimac K { process; release; }
+flow C.create -> C.process;
+flow C.process -> C.release;
+trigger C.release --> K.process;
+trigger K.release --> C.process;
+event S covers { C.create };
+event A covers { C.process, C.release, K.process };
+event B covers { K.process, K.release, C.process };
+event D covers { C.release };
+behavior {
+    S -> A;
+    A -> B guard C < 3;
+    A -> D guard C >= 3;
+}
+repeatable A, B;
+"""
+
+
+def test_triggered_repeatable_events_fire_again():
+    # A's trigger reaches B and B's reaches A; a trigger an event reaches
+    # from its own firing does not make it fire again
+    static, _, behavior = dsl.parse(LOOP)
+    world = sim.init_world(static, {"C": 0})
+    trace = sim.simulate(static, behavior, world)
+    assert trace.fired_events() == ["S", "A", "B", "A", "D"]
+    assert trace.outcome == "Completed"
+    assert world.stores["C"] == 3
+
+
+def test_tokens_move_along_covered_flows_only():
+    static, _, behavior = dsl.parse(
+        "thimac T { create; process; release; }\n"
+        "flow T.create -> T.process;\n"
+        "flow T.process -> T.process;\n"
+        "flow T.process -> T.release;\n"
+        "event E covers { T.create, T.process };\n"
+        "event F covers { T.process, T.release };\n"
+        "behavior { E -> F; }\n")
+    world = sim.init_world(static)
+    sim.simulate(static, behavior, world, max_steps=1)
+    # the self-loop flow T.process -> T.process leaves the token in place
+    assert world.tokens == {"T.process": 1}
+    world = sim.init_world(static)
+    sim.simulate(static, behavior, world)
+    assert world.tokens == {"T.release": 1}
+
+
+def test_arithmetic_type_error_is_a_guard_eval_error():
+    static, _, behavior = dsl.parse(
+        'thimac A { store = 1; create; process = A := A + "x"; }\n'
+        "flow A.create -> A.process;\n"
+        "event E covers { A.create, A.process };\n"
+        "event F covers { A.create };\n"
+        "behavior { E -> F; }\n")
+    world = sim.init_world(static, {"A": 1})
+    with pytest.raises(errors.GuardEvalError, match="cannot compute 1 \\+ 'x'"):
+        sim.simulate(static, behavior, world)
+
+
+# -- golden traces --
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, fixture, fills, inputs", [
+    ("bank_savings_withdrawal_150", "bank",
+     bank_fills("savings", "withdrawal", 100), {"E9": 150}),
+    ("bank_savings_withdrawal_40", "bank",
+     bank_fills("savings", "withdrawal", 100), {"E9": 40}),
+    ("bank_savings_deposit_50", "bank",
+     bank_fills("savings", "deposit", 100), {"E9": 50}),
+    ("bank_checking_deposit_5", "bank",
+     bank_fills("checking", "deposit", 10), {"E9": 5}),
+    ("bank_checking_withdrawal_30", "bank",
+     bank_fills("checking", "withdrawal", 10), {"E9": 30}),
+    ("beef_order", "beef", {}, {"E1": "main dish"}),
+    ("human_bob_eats", "human", BOB, {"Eat": "snack"}),
+])
+def test_trace_matches_golden(parsed_corpus, name, fixture, fills, inputs):
+    static, _, behavior = parsed_corpus[fixture]
+    world = sim.init_world(static, fills)
+    trace = sim.simulate(static, behavior, world, inputs)
+    assert trace.outcome == "Completed"
+    assert sim.trace_to_text(trace) == \
+        (GOLDEN / f"{name}.trace").read_text(encoding="utf-8")
 
 
 # -- invariants --

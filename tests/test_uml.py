@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
-from tmkit.events import eventize
+from tmkit.events import BehaviorEdge, build_behavior, eventize
+from tmkit.expr import Binary, Lit, PathRef, Unary
 from tmkit.model import (VALUE_TYPES, ActionKind, StaticModel, canonicalize,
                          validate_static)
 from tmkit.uml import (AttributeDef, ClassDef, ClassModel, MethodDef,
@@ -144,17 +145,50 @@ def _depth_first(classes):
 
 _label = st.one_of(st.text(), st.text(alphabet='a "\\\n#'))
 
+_literal = st.one_of(
+    st.integers(-10**6, 10**6), st.booleans(), st.text(max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _exprs(paths):
+    """Guards and other expressions over the given store paths."""
+    leaf = st.one_of(st.builds(Lit, _literal),
+                     st.builds(PathRef, st.sampled_from(paths)))
+    ops = st.sampled_from(["and", "or", "<", "<=", "=", "!=", ">=", ">",
+                           "+", "-"])
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.builds(Binary, ops, inner, inner),
+        st.builds(Unary, st.just("not"), inner)), max_leaves=8)
+
+
+@st.composite
+def _behaviors(draw, static, labels):
+    """Events (with labels and inputs) and a behavior over them, or None."""
+    paths = sorted(static.store_paths()) or ["Nowhere"]
+    events = [eventize(static, f"E{i}", label, [aid], draw(st.one_of(
+                  st.none(), st.sampled_from(paths))))
+              for i, (label, aid) in enumerate(zip(labels, static.actions))]
+    if not events or draw(st.booleans()):
+        return events, None
+    ids = st.sampled_from([e.id for e in events])
+    edges = draw(st.lists(st.builds(
+        BehaviorEdge, ids, ids, st.one_of(st.none(), _exprs(paths))),
+        max_size=4))
+    subsets = st.lists(ids, max_size=3, unique=True)
+    return events, build_behavior(events, edges, draw(subsets),
+                                  draw(subsets))
+
 
 @settings(max_examples=100, deadline=None)
-@given(class_models(), st.lists(_label, max_size=3))
-def test_round_trip_random_models(cm, labels):
+@given(class_models(), st.lists(_label, max_size=3), st.data())
+def test_round_trip_random_models(cm, labels, data):
     static = class_to_tm(cm)
     assert tm_to_class(static) == cm
-    # the scaffold's text form keeps event labels with quotes and escapes
-    events = [eventize(static, f"E{i}", label, [aid])
-              for i, (label, aid) in enumerate(zip(labels, static.actions))]
-    text = dsl.print_text(static, events)
-    assert dsl.parse(text) == (canonicalize(static), events, None)
+    # the scaffold's text form keeps events with awkward labels, inputs,
+    # guarded behavior edges, terminals and repeatables
+    events, behavior = data.draw(_behaviors(static, labels))
+    text = dsl.print_text(static, events, behavior)
+    assert dsl.parse(text) == (canonicalize(static), events, behavior)
 
 
 @settings(max_examples=50, deadline=None)
