@@ -8,7 +8,6 @@ and literals, `and`/`or`/`not`, and `+`/`-` for the update rules.
 from __future__ import annotations
 
 import dataclasses
-import decimal
 import operator
 from typing import Union
 
@@ -186,6 +185,7 @@ def _lit_text(value: Value) -> str:
         return f'"{escaped}"'
     text = repr(value)
     if isinstance(value, float) and "e" in text:  # the grammar has no exponent
+        import decimal  # only here: it adds to every command's start-up
         text = format(decimal.Decimal(text), "f")
         if "." not in text:
             text += ".0"

@@ -16,20 +16,20 @@ only operation that mints a thing-token; every other action moves the
 tokens of its covered flow predecessors to itself, and a Process action
 may rewrite a store by its update rule.
 
-Cost. A run first builds a `_Plan` from one pass over the static flows
-and triggers; an event's firing steps are built on its first firing and
-reused. The run then keeps a candidate set: at the start it holds the
-entry events, and after an event fires only its behavior successors and
-the events its triggers reach can join. A run therefore costs
-O(flows + triggers + edges) once, plus per step the size of the firing
-region and the candidates scanned (in id order, up to the one that
-fires), instead of a scan of the whole model.
+Cost. A run first builds a `_Plan` in one pass over the events' covers,
+the static flows and triggers and the behavior edges; an event's firing
+steps are built on its first firing and reused. The run then keeps a
+candidate set: at the start it holds the entry events, and after an
+event fires only its behavior successors and the events its triggers
+reach can join. A run therefore costs O(model) once, plus per step the
+size of the firing region and O(C log C) for the C candidates, which
+are sorted and tested in id order; nothing rescans the whole model per
+step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 from typing import Optional
 
@@ -121,7 +121,7 @@ class _Plan:
     """
 
     def __init__(self, static: md.StaticModel, behavior: BehavioralModel):
-        self.static = static
+        self.actions = static.actions
         self.repeatable = behavior.repeatable
         self.events = {event.id: event for event in behavior.events}
         covering: dict[str, set[str]] = {}  # action id -> ids of covers
@@ -162,7 +162,7 @@ class _Plan:
             for edge in flows:
                 preds.setdefault(edge.dst, []).append(edge.src)
             order = tuple(_topo_order(event.covers, flows))
-            actions = self.static.actions
+            actions = self.actions
             steps = tuple(
                 (aid, actions[aid].kind is md.ActionKind.CREATE,
                  tuple(sorted(preds.get(aid, ()))), actions[aid].update)
@@ -278,16 +278,16 @@ def _topo_order(covers, flows) -> list[str]:
     for edge in flows:
         indegree[edge.dst] += 1
         succs.setdefault(edge.src, []).append(edge.dst)
-    ready = [a for a, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
+    ready = sorted(a for a, d in indegree.items() if d == 0)
     order = []
     while ready:
-        aid = heapq.heappop(ready)
+        aid = ready.pop(0)
         order.append(aid)
         for nxt in succs.get(aid, []):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
+                ready.append(nxt)
+        ready.sort()
     if len(order) != len(indegree):
         return sorted(covers)
     return order
