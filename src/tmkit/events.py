@@ -3,17 +3,28 @@
 An event region is a subdiagram of the static model; the behavioral model
 is a directed graph over regions whose edges mean precedence of first
 firing, optionally guarded by store predicates.
+
+Cost. `covered_edges` indexes the flows and triggers each event covers
+in one pass over the covers and one over the static flows and triggers.
+`check_behavior` builds that index once and tests each region on its
+own edges, then walks the behavior graph for cycles and reachability.
+It costs O(actions + flows + triggers + events + edges) once, an action
+or a static edge counting once per event that covers it; nothing
+rescans the model per event.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
 from . import expr as ex
 from .errors import (DuplicateEventId, EmptyCover, UnknownActionPath,
                      UnknownEvent)
-from .model import StaticModel, ValidationReport
+from .model import FlowEdge, StaticModel, TriggerEdge, ValidationReport
+
+_NONE: frozenset[str] = frozenset()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,10 +51,15 @@ class BehavioralModel:
     repeatable: frozenset[str] = frozenset()
 
     def event(self, event_id: str) -> EventRegion:
-        for event in self.events:
-            if event.id == event_id:
-                return event
-        raise UnknownEvent(f"unknown event '{event_id}'")
+        try:
+            return self._by_id[event_id]
+        except KeyError:
+            raise UnknownEvent(f"unknown event '{event_id}'") from None
+
+    @functools.cached_property
+    def _by_id(self) -> dict[str, EventRegion]:
+        # reversed, so that a repeated id maps to its first event
+        return {event.id: event for event in reversed(self.events)}
 
     def entry_events(self) -> list[str]:
         """Events with no incoming edges, in declaration order."""
@@ -72,23 +88,51 @@ def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
     return EventRegion(event_id, label, frozenset(paths), input_path)
 
 
+def covering_events(events) -> dict[str, set[str]]:
+    """Action id -> ids of the events that cover it."""
+    covering: dict[str, set[str]] = {}
+    for event in events:
+        for aid in event.covers:
+            covering.setdefault(aid, set()).add(event.id)
+    return covering
+
+
+def covered_edges(model: StaticModel, events) \
+        -> dict[str, tuple[list[FlowEdge], list[TriggerEdge]]]:
+    """Event id -> (covered flows, covered triggers), each in static order.
+
+    An edge is covered by an event when the event covers both its ends.
+    One pass over the covers and one over the flows and triggers build
+    the whole index.
+    """
+    covering = covering_events(events)
+    index = {event.id: ([], []) for event in events}
+    for side, edges in ((0, model.flows), (1, model.triggers)):
+        for edge in edges:
+            for eid in (covering.get(edge.src, _NONE)
+                        & covering.get(edge.dst, _NONE)):
+                index[eid][side].append(edge)
+    return index
+
+
 def region_edges(model: StaticModel, region: EventRegion):
     """Static flows and triggers with both endpoints covered."""
-    flows = [e for e in model.flows
-             if e.src in region.covers and e.dst in region.covers]
-    triggers = [e for e in model.triggers
-                if e.src in region.covers and e.dst in region.covers]
-    return flows, triggers
+    return covered_edges(model, [region])[region.id]
 
 
 def region_is_connected(model: StaticModel, region: EventRegion) -> bool:
     """Weak connectivity of the covered subgraph (triggers count)."""
     flows, triggers = region_edges(model, region)
-    adjacency = {a: set() for a in region.covers}
-    for edge in list(flows) + list(triggers):
-        adjacency[edge.src].add(edge.dst)
-        adjacency[edge.dst].add(edge.src)
-    start = next(iter(region.covers))
+    return _is_connected(region.covers, flows + triggers)
+
+
+def _is_connected(covers, edges) -> bool:
+    """Weak connectivity of the actions `covers` under `edges`."""
+    adjacency = {a: [] for a in covers}
+    for edge in edges:
+        adjacency[edge.src].append(edge.dst)
+        adjacency[edge.dst].append(edge.src)
+    start = next(iter(covers))
     seen = {start}
     stack = [start]
     while stack:
@@ -96,7 +140,7 @@ def region_is_connected(model: StaticModel, region: EventRegion) -> bool:
             if other not in seen:
                 seen.add(other)
                 stack.append(other)
-    return len(seen) == len(region.covers)
+    return len(seen) == len(covers)
 
 
 def build_behavior(events, edges, terminals=(), repeatable=()) \
@@ -127,13 +171,15 @@ def check_behavior(behavior: BehavioralModel,
     """Report guard resolution errors plus cycle/reachability warnings."""
     report = ValidationReport()
     stores = model.store_paths()
+    covered = covered_edges(model, behavior.events)
 
     for event in behavior.events:
         if event.input_path is not None and event.input_path not in stores:
             report.add("ERROR", event.id,
                        f"input path '{event.input_path}' has no store",
                        "InputPathUnstored")
-        if not region_is_connected(model, event):
+        flows, triggers = covered[event.id]
+        if not _is_connected(event.covers, flows + triggers):
             report.add("WARNING", event.id,
                        "covered subgraph is disconnected", "RegionDisconnected")
     for edge in behavior.edges:

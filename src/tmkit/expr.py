@@ -41,6 +41,35 @@ class Binary:
     left: "Expr"
     right: "Expr"
 
+    # The generated __eq__, __hash__ and __repr__ would recurse once per
+    # operator of a chain; these give the same results along the spine.
+
+    def __eq__(self, other):
+        if type(other) is not Binary:
+            return NotImplemented
+        a, b = self, other
+        while type(a) is Binary and type(b) is Binary:
+            if a is b:
+                return True
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __hash__(self):
+        spine, bottom = _left_spine(self)
+        value = hash(bottom)
+        for node in spine:
+            value = hash((node.op, value, node.right))
+        return value
+
+    def __repr__(self):
+        spine, bottom = _left_spine(self)
+        return ("".join(f"Binary(op={node.op!r}, left="
+                        for node in reversed(spine))
+                + repr(bottom)
+                + "".join(f", right={node.right!r})" for node in spine))
+
 
 Expr = Union[Lit, PathRef, Unary, Binary]
 

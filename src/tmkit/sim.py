@@ -36,11 +36,10 @@ from typing import Optional
 from . import expr as ex
 from . import model as md
 from .errors import FillPathUnstored, MissingInput, TypeMismatch
-from .events import BehavioralModel, EventRegion
+from .events import (BehavioralModel, EventRegion, covered_edges,
+                     covering_events)
 
 DEFAULT_MAX_STEPS = 10_000
-
-_NONE: frozenset[str] = frozenset()
 
 
 @dataclasses.dataclass
@@ -115,41 +114,29 @@ def evaluate_guard(guard: ex.Expr, world: WorldState) -> bool:
 class _Plan:
     """What the run loop needs from one (static, behavior) pair.
 
-    Everything but the firing steps comes from one pass over the static
-    flows and triggers and the behavior edges; `steps` builds an event's
-    firing steps on its first firing and caches them.
+    Everything but the firing steps comes from the covered-edge index of
+    `events.covered_edges` and one pass over the behavior edges; `steps`
+    builds an event's firing steps on its first firing and caches them.
     """
 
     def __init__(self, static: md.StaticModel, behavior: BehavioralModel):
         self.actions = static.actions
         self.repeatable = behavior.repeatable
-        self.events = {event.id: event for event in behavior.events}
-        covering: dict[str, set[str]] = {}  # action id -> ids of covers
-        for event in behavior.events:
-            for aid in event.covers:
-                covering.setdefault(aid, set()).add(event.id)
-
-        def covered_by(edge):  # the events that cover both ends
-            return (covering.get(edge.src, _NONE)
-                    & covering.get(edge.dst, _NONE))
-
-        #: event id -> its covered flows, in static order
-        self.flows: dict[str, list[md.FlowEdge]] = {}
-        for edge in static.flows:
-            for eid in covered_by(edge):
-                self.flows.setdefault(eid, []).append(edge)
+        self.event = behavior.event
+        covering = covering_events(behavior.events)
+        #: event id -> (its covered flows, its covered triggers)
+        self.covered = covered_edges(static, behavior.events)
         #: event id -> events covering the target of a covered trigger
-        self.reach: dict[str, set[str]] = {}
-        for edge in static.triggers:
-            for eid in covered_by(edge):
-                self.reach.setdefault(eid, set()).update(covering[edge.dst])
+        self.reach: dict[str, set[str]] = {
+            eid: set().union(*(covering[edge.dst] for edge in triggers))
+            for eid, (_, triggers) in self.covered.items() if triggers}
         self.incoming: dict[str, list] = {}
         self.successors: dict[str, list[str]] = {}
         for edge in behavior.edges:
             self.incoming.setdefault(edge.dst, []).append(edge)
             self.successors.setdefault(edge.src, []).append(edge.dst)
-        self.entries = [eid for eid in self.events
-                        if eid not in self.incoming]
+        self.entries = [event.id for event in behavior.events
+                        if event.id not in self.incoming]
         self._steps: dict[str, tuple] = {}
 
     def steps(self, event: EventRegion):
@@ -157,7 +144,7 @@ class _Plan:
         (action id, is a Create, sorted flow predecessors, update rule)."""
         cached = self._steps.get(event.id)
         if cached is None:
-            flows = self.flows.get(event.id, ())
+            flows = self.covered[event.id][0]
             preds: dict[str, list[str]] = {}
             for edge in flows:
                 preds.setdefault(edge.dst, []).append(edge.src)
@@ -224,7 +211,7 @@ def _next_enabled(plan, candidates, fired, triggered, inputs, world):
                 continue
             if eid not in triggered:
                 continue
-        event = plan.events[eid]
+        event = plan.event(eid)
         edges = plan.incoming.get(eid)
         if edges:
             satisfied = any(

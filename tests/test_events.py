@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
-from tmkit.events import (BehaviorEdge, build_behavior, check_behavior,
-                          eventize, region_edges)
+from tmkit import model as md
+from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
+                          check_behavior, covered_edges, eventize,
+                          region_edges)
 
 
 def test_eventize_beef_fetch_region(beef):
@@ -70,6 +73,13 @@ def test_build_behavior_bank_guards(bank):
     assert ("E19", "E23") in guarded
 
 
+def test_event_lookup(bank):
+    _, events, behavior = bank
+    assert [behavior.event(e.id) for e in events] == list(events)
+    with pytest.raises(errors.UnknownEvent, match="unknown event 'E99'"):
+        behavior.event("E99")
+
+
 def test_build_behavior_rejects_unknown_event(beef):
     _, events, _ = beef
     with pytest.raises(errors.UnknownEvent):
@@ -127,9 +137,57 @@ def test_guard_over_storeless_path_is_error():
 
 def test_disconnected_region_warns():
     src = ("thimac A { create; process; } thimac B { create; }\n"
-           "flow A.create -> A.process;\n"
-           "event E covers { A.create, B.create };\n"
-           "behavior { }\n")
+           "thimac C { create; process; }\n"
+           "flow A.create -> A.process; flow C.create -> C.process;\n"
+           "trigger A.process --> B.create;\n"
+           "event Joined covers { A.create, A.process, B.create };\n"
+           "event Split covers { A.create, A.process, C.create, C.process };\n"
+           "behavior { Joined -> Split; }\n")
     static, events, behavior = dsl.parse(src)
     report = check_behavior(behavior, static)
-    assert any(d.code == "RegionDisconnected" for d in report.warnings)
+    assert [(d.severity, d.location, d.code) for d in report.diagnostics] \
+        == [("WARNING", "Split", "RegionDisconnected")]
+
+
+@st.composite
+def covered_models(draw):
+    """A static model with random flows, triggers and self-loops, and
+    events with random covers plus one covering each trigger's ends."""
+    thimacs = [md.Thimac(f"T{i}") for i in range(draw(st.integers(1, 4)))]
+    actions = [md.Action(md.action_id(t.name, kind), kind, t.name)
+               for t in thimacs
+               for kind in draw(st.sets(st.sampled_from(list(md.ActionKind)),
+                                        min_size=1))]
+    ids = [a.id for a in actions]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids),
+                                    st.sampled_from(ids)),
+                          unique=True, max_size=20))
+    kinds = draw(st.lists(st.booleans(), min_size=len(pairs),
+                          max_size=len(pairs)))
+    flows = [md.FlowEdge(*p) for p, trigger in zip(pairs, kinds)
+             if not trigger]
+    triggers = [md.TriggerEdge(*p) for p, trigger in zip(pairs, kinds)
+                if trigger]
+    static = md.build_model(thimacs, actions, flows, triggers)
+    covers = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1),
+                           max_size=8))
+    covers += [{edge.src, edge.dst} for edge in triggers]
+    events = [EventRegion(f"E{i}", "", frozenset(c))
+              for i, c in enumerate(covers)]
+    return static, events
+
+
+@settings(max_examples=300, deadline=None)
+@given(covered_models())
+def test_covered_edges_is_the_per_event_filter(case):
+    static, events = case
+    index = covered_edges(static, events)
+    assert list(index) == [event.id for event in events]
+    for event in events:
+        covers = event.covers
+        expected = (
+            [e for e in static.flows if e.src in covers and e.dst in covers],
+            [e for e in static.triggers
+             if e.src in covers and e.dst in covers])
+        assert index[event.id] == expected
+        assert region_edges(static, event) == expected

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tmkit import dsl, errors
@@ -81,3 +83,35 @@ def test_paths_in_walks_every_operand():
     guard = Unary("not", Binary("or", PathRef("A"),
                                 Binary("<", PathRef("B.c"), Lit(1))))
     assert paths_in(guard) == {"A", "B.c"}
+
+
+def test_equality_hash_and_repr_walk_long_chains():
+    text = " + ".join(["A"] * 3000) + " = 1"
+    guard, again = _guard(text), _guard(text)
+    assert guard == again and hash(guard) == hash(again)
+    assert guard != _guard(" + ".join(["A"] * 2999) + " + B = 1")
+    assert guard != _guard(" + ".join(["A"] * 2999) + " - A = 1")
+    edge = dsl.parse(
+        "thimac A { store = 0; create; } thimac B { store = 0; }\n"
+        "event D covers { A.create }; event E covers { A.create };\n"
+        f"behavior {{ D -> E guard {text}; }}\n")[2].edges[0]
+    assert hash(edge) == hash(dataclasses.replace(edge, guard=again))
+    printed = repr(edge)
+    assert printed.startswith("BehaviorEdge(src='D', dst='E', guard=Binary("
+                              "op='=', left=Binary(op='+', left=Binary(")
+    assert printed.endswith(", right=PathRef(path='A')), "
+                            "right=Lit(value=1)))")
+    assert printed.count("PathRef(path='A')") == 3000
+
+
+def test_repr_matches_the_dataclass_form():
+    expr = Binary("and", Binary("<", PathRef("A"), Lit(1)),
+                  Unary("not", Binary("+", Lit(2), Lit("x"))))
+    assert repr(expr) == (
+        "Binary(op='and', left=Binary(op='<', left=PathRef(path='A'), "
+        "right=Lit(value=1)), right=Unary(op='not', operand=Binary(op='+', "
+        "left=Lit(value=2), right=Lit(value='x'))))")
+    assert expr == eval(repr(expr))
+    assert expr != Binary("and", Binary("<", PathRef("A"), Lit(1)), Lit(1))
+    assert Binary("+", Lit(1), Lit(2)) != Lit(1)
+    assert len({expr, eval(repr(expr))}) == 1
