@@ -30,8 +30,12 @@ def main(argv=None) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable file
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE
+    except UnicodeDecodeError as exc:
+        print(f"cannot read {args.file}: not UTF-8 text "
+              f"(byte {exc.start})", file=sys.stderr)
         return USAGE
     except TmError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -70,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial store fill, repeatable")
     p.add_argument("--input", action="append", default=[],
                    metavar="EVENT:PAYLOAD", help="event payload, repeatable")
-    p.add_argument("--max-steps", type=int, default=sim.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_positive_int,
+                   default=sim.DEFAULT_MAX_STEPS)
     p.add_argument("--trace-format", choices=("text", "json"),
                    default="text")
     p.set_defaults(func=cmd_simulate)
@@ -83,6 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-stores", action="store_true")
     p.set_defaults(func=cmd_dot)
     return parser
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {raw!r}")
+    return value
 
 
 def _read(path: str) -> str:

@@ -4,11 +4,21 @@ The `.tm` format is the toolkit's interchange format. `->` declares a
 flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 `#` starts a comment, and dotted paths resolve through thimac nesting.
 parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m).
+
+Cost. The whole file is lexed before parsing starts, in one C-level
+`findall` pass of `_LEXEME_RE` that skips blanks, line breaks and
+comments inside the regex and yields one string per lexeme. Each
+distinct lexeme is then classified once into a shared `(type, value)`
+tuple, so no object is built per token, and the parser reads those
+tuples by index. No line or column is tracked: a `ParseError` finds the
+position of its token by lexing the text again, once, on the failure
+path only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 from typing import Optional
@@ -23,19 +33,30 @@ _KEYWORD_KINDS = {k.value: k for k in md.ActionKind}
 
 _BOOLEANS = {"true": True, "false": False}
 
-#: The lexical grammar: one named group per token kind, tried in order.
-#: Longer punctuation comes first, so `-->` wins over `->` over `-`.
-_TOKEN_RE = re.compile(r"""
-    (?P<NEWLINE>\n)
-  | (?P<BLANK>[ \t\r]+)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
-  | (?P<NUMBER>\d+(?:\.\d*)?)
-  | (?P<NAME>[^\W\d]\w*)
-  | (?P<ARROW>→)
-  | (?P<PUNCT>-->|->|:=|<=|>=|!=|[<>={};,.()+-])
-  | (?P<ERROR>[\s\S])
+#: Blanks, line breaks and `#` comments, which separate lexemes.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+
+#: The lexical grammar: one lexeme per match, with the blanks and
+#: comments after it; the empty match at the end of the text is EOF.
+#: Lexing starts after the blanks and comments that open the text (see
+#: `_lexeme_matches`). Names, punctuation, numbers and strings start
+#: with different characters, so their order only puts the common ones
+#: first; the catch-all error comes last, and longer punctuation comes
+#: first, so `-->` wins over `->` over `-`.
+_LEXEME_RE = re.compile(r"""
+    ( [^\W\d]\w*                                # name
+    | -->|->|:=|<=|>=|!=|[<>={};,.()+\-→]       # punctuation
+    | \d+(?:\.\d*)?                             # number
+    | "(?:[^"\\\n]|\\[\s\S])*"                  # string
+    | [^ \t\r\n\#]                              # a lexical error
+    )""" + _SKIP + r"""
+  | \Z
 """, re.VERBOSE)
+
+_COMPARISONS = frozenset(["<=", ">=", "!=", "<", ">", "="])
+
+_PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
 
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
@@ -55,59 +76,75 @@ class ParseError(TmError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclasses.dataclass
-class _Token:
-    type: str  # NAME NUMBER STRING punct EOF
-    value: object
-    line: int
-    col: int
+def _lexeme_matches(text: str):
+    """The matches of `_LEXEME_RE` over `text`, one per token."""
+    return _LEXEME_RE.finditer(text, _SKIP_RE.match(text).end())
 
 
-def _tokenize(src: SourceUnit) -> list[_Token]:
+def _classify(lexeme: str) -> tuple:
+    """The `(type, value)` token of a lexeme, or `("ERROR", message)`.
+
+    A token's type is NAME, NUMBER, STRING, EOF or the punctuation
+    itself.
+    """
+    if not lexeme:
+        return ("EOF", None)
+    first = lexeme[0]
+    if lexeme in _PUNCT:
+        return (lexeme, lexeme)
+    if lexeme == "→":
+        return ("->", "->")
+    if first == '"':
+        if len(lexeme) == 1:  # no closing quote on this line
+            return ("ERROR", "unterminated string literal")
+        return ("STRING", _ESCAPE_RE.sub(r"\1", lexeme[1:-1]))
+    if first.isdecimal():  # what `\d` matches
+        try:
+            value = float(lexeme) if "." in lexeme else int(lexeme)
+        except ValueError:  # more digits than int() accepts
+            value = math.inf
+        if value == math.inf:  # or a float beyond the largest double
+            return ("ERROR", f"number too long: {len(lexeme)} digits")
+        return ("NUMBER", value)
+    # `\w` admits digits such as '²' that str.isalpha() rejects
+    if first.isalpha() or first == "_":
+        return ("NAME", lexeme)
+    return ("ERROR", f"unexpected character {first!r}")
+
+
+def _tokenize(src: SourceUnit) -> list[tuple]:
+    """The `(type, value)` tokens of the whole text, ending in EOF.
+
+    The first lexical error in the text raises `ParseError`.
+    """
     text = src.text
-    tokens = []
-    line, line_start = 1, 0  # line_start: offset just past the last newline
-    match = None
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "BLANK" or kind == "COMMENT":
-            continue
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-            continue
-        value = match.group()
-        col = match.start() - line_start + 1
-        if kind == "PUNCT":
-            kind = value
-        elif kind == "NAME":
-            # \w admits digits such as '²' that str.isalpha() rejects
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise ParseError(line, col,
-                                 f"unexpected character {value[0]!r}")
-        elif kind == "STRING":
-            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-        elif kind == "NUMBER":
-            try:
-                value = float(value) if "." in value else int(value)
-            except ValueError:  # more digits than int() accepts
-                value = math.inf
-            if value == math.inf:  # or a float beyond the largest double
-                raise ParseError(line, col, "number too long: "
-                                 f"{len(match.group())} digits")
-        elif kind == "ARROW":
-            kind = value = "->"
-        elif value == '"':  # ERROR: no closing quote on this line
-            raise ParseError(line, col, "unterminated string literal")
-        else:  # ERROR
-            raise ParseError(line, col, f"unexpected character {value!r}")
-        tokens.append(_Token(kind, value, line, col))
-    # a comment at the end of the text does not move the EOF position
-    end = len(text)
-    if match is not None and match.lastgroup == "COMMENT":
-        end = match.start()
-    tokens.append(_Token("EOF", None, line, end - line_start + 1))
-    return tokens
+    lexemes = _LEXEME_RE.findall(text, _SKIP_RE.match(text).end())
+    kinds = {lexeme: _classify(lexeme) for lexeme in set(lexemes)}
+    errors = [lexeme for lexeme, (type_, _) in kinds.items()
+              if type_ == "ERROR"]
+    if errors:
+        first = min(map(lexemes.index, errors))
+        raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
+    return list(map(kinds.__getitem__, lexemes))
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """(line, column) of token `index` of `text`, found by lexing again.
+
+    A comment at the end of the text does not move the EOF position.
+    """
+    matches = _lexeme_matches(text)
+    lexeme_end = 0
+    for match in itertools.islice(matches, index):
+        lexeme_end = match.end(1)
+    match = next(matches)
+    offset = match.start()
+    if match.group(1) is None:  # EOF: at a comment on the last line, if any
+        comment = text.find("#", max(lexeme_end, text.rfind("\n") + 1))
+        if comment >= 0:
+            offset = comment
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 @dataclasses.dataclass
@@ -117,40 +154,52 @@ class _EventDecl:
     covers: list[str]
     input_path: Optional[str]
     guard: Optional[ex.Expr]
-    guard_at: Optional[_Token]  # the `guard` keyword, for error positions
+    guard_at: int  # token index where a guard starts, for error positions
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, text: str, tokens: list[tuple]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
 
     # -- token plumbing --
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, index: int, message: str, expected=()) -> ParseError:
+        """A `ParseError` at token `index`."""
+        return ParseError(*_position(self.text, index), message, expected)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self):
+        """Consume the next token and return its value."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
     def at(self, type_: str, value=None) -> bool:
-        tok = self.peek()
-        return tok.type == type_ and (value is None or tok.value == value)
+        tok = self.tokens[self.pos]
+        return tok[0] == type_ and (value is None or tok[1] == value)
 
-    def take(self, type_: str, value=None) -> Optional[_Token]:
-        """Consume and return the next token if it matches, else None."""
-        return self.next() if self.at(type_, value) else None
+    def take(self, type_: str, value=None) -> bool:
+        """Consume the next token if it matches and say whether it did."""
+        tok = self.tokens[self.pos]
+        if tok[0] == type_ and (value is None or tok[1] == value):
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, type_: str, value=None) -> _Token:
-        tok = self.peek()
-        if not self.at(type_, value):
-            want = value if value is not None else type_
-            raise ParseError(tok.line, tok.col,
-                             f"expected {want!r}, found {tok.value!r}",
-                             expected=[want])
-        return self.next()
+    def expect(self, type_: str, value=None):
+        """Consume the next token, which must match, and return its value."""
+        tok = self.tokens[self.pos]
+        if tok[0] == type_ and (value is None or tok[1] == value):
+            self.pos += 1
+            return tok[1]
+        want = value if value is not None else type_
+        raise self.error(self.pos, f"expected {want!r}, found {tok[1]!r}",
+                         expected=[want])
+
+    def keyword(self):
+        """The next token's name, or None if it is not a NAME."""
+        type_, value = self.tokens[self.pos]
+        return value if type_ == "NAME" else None
 
     # -- grammar --
 
@@ -161,29 +210,28 @@ class _Parser:
         behavior_edges = None
         terminals, repeatable = [], []
         while not self.at("EOF"):
-            tok = self.peek()
-            if self.at("NAME", "thimac"):
+            word = self.keyword()
+            if word == "thimac":
                 thimacs.append(self.parse_thimac("", actions))
-            elif self.at("NAME", "flow"):
+            elif word == "flow":
                 flows.append(self.parse_edge("flow", "->", md.FlowEdge))
-            elif self.at("NAME", "trigger"):
+            elif word == "trigger":
                 triggers.append(
                     self.parse_edge("trigger", "-->", md.TriggerEdge))
-            elif self.at("NAME", "event"):
+            elif word == "event":
                 event_decls.append(self.parse_event())
-            elif self.at("NAME", "behavior"):
+            elif word == "behavior":
                 if behavior_edges is not None:
-                    raise ParseError(tok.line, tok.col,
-                                     "behavior block re-declared")
+                    raise self.error(self.pos, "behavior block re-declared")
                 behavior_edges = self.parse_behavior()
-            elif self.at("NAME", "terminal"):
+            elif word == "terminal":
                 terminals.extend(self.parse_event_list("terminal"))
-            elif self.at("NAME", "repeatable"):
+            elif word == "repeatable":
                 repeatable.extend(self.parse_event_list("repeatable"))
             else:
-                raise ParseError(
-                    tok.line, tok.col,
-                    f"expected a declaration, found {tok.value!r}",
+                found = self.tokens[self.pos][1]
+                raise self.error(
+                    self.pos, f"expected a declaration, found {found!r}",
                     expected=["thimac", "flow", "trigger", "event",
                               "behavior", "terminal", "repeatable"])
         self.expect("EOF")
@@ -192,38 +240,36 @@ class _Parser:
 
     def parse_thimac(self, prefix: str, actions) -> md.Thimac:
         self.expect("NAME", "thimac")
-        name = self.expect("NAME").value
+        name = self.expect("NAME")
         path = f"{prefix}.{name}" if prefix else name
-        specializes = self.take("NAME", "specializes") is not None
+        specializes = self.take("NAME", "specializes")
         self.expect("{")
         store = None
         action_ids = []
         subthimacs = []
         while not self.at("}"):
-            tok = self.peek()
-            if self.at("NAME", "thimac"):
+            start = self.pos
+            word = self.keyword()
+            if word == "thimac":
                 subthimacs.append(self.parse_thimac(path, actions))
-            elif self.take("NAME", "store"):
+            elif word == "store":
                 if store is not None:
-                    raise ParseError(tok.line, tok.col,
-                                     f"store re-declared in '{path}'")
+                    raise self.error(start, f"store re-declared in '{path}'")
+                self.pos += 1
                 store = md.Store(self.parse_literal() if self.take("=")
                                  else None)
                 self.expect(";")
-            elif tok.type == "NAME" and tok.value in _KEYWORD_KINDS:
-                kind = _KEYWORD_KINDS[tok.value]
+            elif word in _KEYWORD_KINDS:
+                kind = _KEYWORD_KINDS[word]
                 aid = md.action_id(path, kind)
                 if aid in action_ids:
-                    raise ParseError(tok.line, tok.col,
-                                     f"{tok.value} re-declared in '{path}'")
-                self.next()
+                    raise self.error(start, f"{word} re-declared in '{path}'")
+                self.pos += 1
                 update = None
-                if self.at("="):
+                if self.take("="):
                     if kind is not md.ActionKind.PROCESS:
-                        raise ParseError(
-                            tok.line, tok.col,
-                            "only process actions take an update rule")
-                    self.next()
+                        raise self.error(
+                            start, "only process actions take an update rule")
                     target = self.parse_path()
                     self.expect(":=")
                     update = (target, self.parse_additive())
@@ -231,9 +277,9 @@ class _Parser:
                 actions.append(md.Action(aid, kind, path, update))
                 action_ids.append(aid)
             else:
-                raise ParseError(
-                    tok.line, tok.col,
-                    f"expected a thimac member, found {tok.value!r}",
+                found = self.tokens[start][1]
+                raise self.error(
+                    start, f"expected a thimac member, found {found!r}",
                     expected=["thimac", "store",
                               *sorted(_KEYWORD_KINDS), "}"])
         self.expect("}")
@@ -250,8 +296,8 @@ class _Parser:
 
     def parse_event(self) -> _EventDecl:
         self.expect("NAME", "event")
-        event_id = self.expect("NAME").value
-        label = self.next().value if self.at("STRING") else event_id
+        event_id = self.expect("NAME")
+        label = self.next() if self.at("STRING") else event_id
         self.expect("NAME", "covers")
         self.expect("{")
         covers = [self.parse_path()]
@@ -260,12 +306,9 @@ class _Parser:
                 break
             covers.append(self.parse_path())
         self.expect("}")
-        input_path = guard = None
-        if self.take("NAME", "input"):
-            input_path = self.parse_path()
-        guard_at = self.take("NAME", "guard")
-        if guard_at:
-            guard = self.parse_or()
+        input_path = self.parse_path() if self.take("NAME", "input") else None
+        guard_at = self.pos
+        guard = self.parse_or() if self.take("NAME", "guard") else None
         self.expect(";")
         return _EventDecl(event_id, label, covers, input_path, guard,
                           guard_at)
@@ -275,9 +318,9 @@ class _Parser:
         self.expect("{")
         edges = []
         while not self.at("}"):
-            src = self.expect("NAME").value
+            src = self.expect("NAME")
             self.expect("->")
-            dst = self.expect("NAME").value
+            dst = self.expect("NAME")
             guard = self.parse_or() if self.take("NAME", "guard") else None
             self.expect(";")
             edges.append(BehaviorEdge(src, dst, guard))
@@ -286,36 +329,40 @@ class _Parser:
 
     def parse_event_list(self, keyword) -> list[str]:
         self.expect("NAME", keyword)
-        names = [self.expect("NAME").value]
+        names = [self.expect("NAME")]
         while self.take(","):
-            names.append(self.expect("NAME").value)
+            names.append(self.expect("NAME"))
         self.expect(";")
         return names
 
     def parse_path(self) -> str:
-        parts = [self.expect("NAME").value]
-        while self.take("."):
-            parts.append(self.expect("NAME").value)
-        return ".".join(parts)
+        path = self.expect("NAME")
+        while self.tokens[self.pos][0] == ".":
+            self.pos += 1
+            path += "." + self.expect("NAME")
+        return path
 
     def take_literal(self):
         """Consume a literal and return its value, or return None."""
-        tok = self.peek()
-        if tok.type == "NUMBER" or tok.type == "STRING":
-            return self.next().value
-        if tok.type == "NAME" and tok.value in _BOOLEANS:
-            return _BOOLEANS[self.next().value]
-        if self.take("-"):
-            return -self.expect("NUMBER").value
+        type_, value = self.tokens[self.pos]
+        if type_ == "NUMBER" or type_ == "STRING":
+            self.pos += 1
+            return value
+        if type_ == "NAME" and value in _BOOLEANS:
+            self.pos += 1
+            return _BOOLEANS[value]
+        if type_ == "-":
+            self.pos += 1
+            return -self.expect("NUMBER")
         return None
 
     def parse_literal(self):
         value = self.take_literal()
         if value is None:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.col,
-                             f"expected a literal, found {tok.value!r}",
-                             expected=["NUMBER", "STRING", "true", "false"])
+            raise self.error(
+                self.pos,
+                f"expected a literal, found {self.tokens[self.pos][1]!r}",
+                expected=["NUMBER", "STRING", "true", "false"])
         return value
 
     # -- expressions --
@@ -339,15 +386,16 @@ class _Parser:
 
     def parse_comparison(self) -> ex.Expr:
         left = self.parse_additive()
-        for op in ("<=", ">=", "!=", "<", ">", "="):
-            if self.take(op):
-                return ex.Binary(op, left, self.parse_additive())
+        op = self.tokens[self.pos][0]
+        if op in _COMPARISONS:
+            self.pos += 1
+            return ex.Binary(op, left, self.parse_additive())
         return left
 
     def parse_additive(self) -> ex.Expr:
         left = self.parse_primary()
-        while self.at("+") or self.at("-"):
-            op = self.next().type
+        while self.tokens[self.pos][0] in ("+", "-"):
+            op = self.next()
             left = ex.Binary(op, left, self.parse_primary())
         return left
 
@@ -359,12 +407,12 @@ class _Parser:
             inner = self.parse_or()
             self.expect(")")
             return inner
-        tok = self.peek()
-        if tok.type == "NAME":
+        if self.at("NAME"):
             return ex.PathRef(self.parse_path())
-        raise ParseError(tok.line, tok.col,
-                         f"expected an expression, found {tok.value!r}",
-                         expected=["NUMBER", "STRING", "NAME", "("])
+        raise self.error(
+            self.pos,
+            f"expected an expression, found {self.tokens[self.pos][1]!r}",
+            expected=["NUMBER", "STRING", "NAME", "("])
 
 
 def parse(src) -> tuple[md.StaticModel, list[EventRegion],
@@ -372,13 +420,12 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     """Parse DSL text into a model, declared events, and a chronology."""
     if isinstance(src, str):
         src = SourceUnit(src)
-    parser = _Parser(_tokenize(src))
+    parser = _Parser(src.text, _tokenize(src))
     try:
         (thimacs, actions, flows, triggers, event_decls, behavior_edges,
          terminals, repeatable) = parser.parse_file()
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError(tok.line, tok.col, "nesting too deep") from None
+        raise parser.error(parser.pos, "nesting too deep") from None
     # an event guard is moved onto its incoming behavior edges that have
     # no guard of their own; with no such edge it would be dropped
     targets = {e.dst for e in behavior_edges or ()}
@@ -388,8 +435,8 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
             continue
         why = ("every incoming behavior edge has its own guard"
                if d.id in targets else "it has no incoming behavior edge")
-        raise ParseError(d.guard_at.line, d.guard_at.col,
-                         f"guard on event '{d.id}' is unused: {why}")
+        raise parser.error(d.guard_at,
+                           f"guard on event '{d.id}' is unused: {why}")
     static = md.build_model(thimacs, actions, flows, triggers)
 
     events = [eventize(static, d.id, d.label, d.covers, d.input_path)

@@ -97,15 +97,17 @@ def covering_events(events) -> dict[str, set[str]]:
     return covering
 
 
-def covered_edges(model: StaticModel, events) \
+def covered_edges(model: StaticModel, events, covering=None) \
         -> dict[str, tuple[list[FlowEdge], list[TriggerEdge]]]:
     """Event id -> (covered flows, covered triggers), each in static order.
 
     An edge is covered by an event when the event covers both its ends.
     One pass over the covers and one over the flows and triggers build
-    the whole index.
+    the whole index; a caller that already holds `covering_events(events)`
+    passes it as `covering`, and that pass is skipped.
     """
-    covering = covering_events(events)
+    if covering is None:
+        covering = covering_events(events)
     index = {event.id: ([], []) for event in events}
     for side, edges in ((0, model.flows), (1, model.triggers)):
         for edge in edges:

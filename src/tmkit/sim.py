@@ -125,7 +125,7 @@ class _Plan:
         self.event = behavior.event
         covering = covering_events(behavior.events)
         #: event id -> (its covered flows, its covered triggers)
-        self.covered = covered_edges(static, behavior.events)
+        self.covered = covered_edges(static, behavior.events, covering)
         #: event id -> events covering the target of a covered trigger
         self.reach: dict[str, set[str]] = {
             eid: set().union(*(covering[edge.dst] for edge in triggers))
@@ -162,7 +162,8 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
              world: WorldState, inputs=None,
              max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     """Fire enabled events until quiescence or budget exhaustion."""
-    assert max_steps >= 1
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     inputs = inputs or {}
     plan = _Plan(static, behavior)
     fired: set[str] = set()

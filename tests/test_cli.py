@@ -186,9 +186,12 @@ _FRAGMENTS = ["thimac", "A", "B", "A.create", "{", "}", ";", ",", ".", "=",
 def _mutated_fixture(draw):
     """A shipped fixture with tokens deleted, duplicated and swapped."""
     text = corpus.fixture_text(draw(st.sampled_from(corpus.FIXTURES)))
-    pieces = [m.group() for m in dsl._TOKEN_RE.finditer(text)]
-    tokens = [i for i, p in enumerate(pieces)
-              if not p.isspace() and not p.startswith("#")]
+    # alternate blanks-and-comments pieces with token pieces
+    pieces, end = [], 0
+    for match in dsl._lexeme_matches(text):
+        pieces += [text[end:match.start()], match.group(1) or ""]
+        end = match.end(1)
+    tokens = range(1, len(pieces) - 1, 2)  # all but EOF
     for _ in range(draw(st.integers(1, 4))):
         i, j = draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens))
         op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
@@ -202,14 +205,29 @@ def _mutated_fixture(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.one_of(st.text(),
+@given(text=st.one_of(st.text(), st.binary(),
                       st.lists(st.sampled_from(_FRAGMENTS)).map(" ".join),
                       _mutated_fixture()),
        command=st.sampled_from(["check", "fmt"]))
 def test_check_and_fmt_never_exit_3(tmp_path_factory, text, command):
     path = tmp_path_factory.getbasetemp() / "hostile.tm"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes)
+                     else text.encode("utf-8"))
     assert cli.main([command, str(path)]) != 3
+
+
+def test_check_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot open {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_check_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bytes.tm"
+    path.write_bytes(b"\xff\xfe")
+    assert run(capsys, "check", str(path)) == \
+        (2, "", f"cannot read {path}: not UTF-8 text (byte 0)\n")
 
 
 # -- to-class / to-tm --
@@ -287,6 +305,16 @@ def test_simulate_budget_exhaustion(capsys, beef_path):
                          "--input", "E1:order", "--max-steps", "1")
     assert code == 1
     assert "StepBudgetExhausted" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_simulate_max_steps_below_1_is_a_usage_error(capsys, bank_path,
+                                                     steps):
+    code, out, err = run(capsys, "simulate", bank_path, "--max-steps", steps)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "tm simulate: error: argument --max-steps: expected an integer of "
+        f"at least 1, got '{steps}'")
 
 
 def test_simulate_type_error_exits_1(capsys, tmp_path):

@@ -141,8 +141,9 @@ def test_guard_expression_grammar():
 
 
 def _stream(text):
-    return [(t.type, t.value, t.line, t.col)
-            for t in dsl._tokenize(dsl.SourceUnit(text))]
+    return [(type_, value, *dsl._position(text, i))
+            for i, (type_, value) in enumerate(
+                dsl._tokenize(dsl.SourceUnit(text)))]
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -174,6 +175,9 @@ def _stream(text):
     ('""', [("STRING", "", 1, 1), ("EOF", None, 1, 3)]),
     ("\tüber_1 _x", [("NAME", "über_1", 1, 2), ("NAME", "_x", 1, 9),
                      ("EOF", None, 1, 11)]),
+    # a line break inside a string starts a new line
+    ('"a\\\nb" c', [("STRING", "a\nb", 1, 1), ("NAME", "c", 2, 4),
+                    ("EOF", None, 2, 5)]),
 ])
 def test_tokenizer_table(text, expected):
     stream = _stream(text)
@@ -193,6 +197,26 @@ def test_tokenizer_table(text, expected):
 def test_tokenizer_error_positions(text, line, col, message):
     with pytest.raises(dsl.ParseError) as exc:
         dsl._tokenize(dsl.SourceUnit(text))
+    assert (exc.value.line, exc.value.column, exc.value.message) == \
+        (line, col, message)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # the whole file is lexed first, so a lexical error wins over an
+    # earlier syntax error
+    ("thimac { ! }", 1, 10, "unexpected character '!'"),
+    ("thimac A {\r\n  store;\r\n  store;\r\n}", 3, 3,
+     "store re-declared in 'A'"),
+    ("thimac A { create; }\nevent E covers { A.create # open", 2, 27,
+     "expected '}', found None"),
+    ("thimac A { store = 1; create; }\r\n"
+     "event E covers { A.create }\r\n  guard A = 2;", 3, 3,
+     "guard on event 'E' is unused: it has no incoming behavior edge"),
+    ('"a\\\nb" !', 2, 4, "unexpected character '!'"),
+])
+def test_parse_error_positions(text, line, col, message):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(text)
     assert (exc.value.line, exc.value.column, exc.value.message) == \
         (line, col, message)
 

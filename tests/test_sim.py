@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import tmkit.events
 from tmkit import dsl, errors, sim
+from tmkit.events import covering_events
 from tmkit.expr import UNSET, Binary, Lit, PathRef
 from tmkit.model import ActionKind
 
@@ -228,6 +230,26 @@ def test_arithmetic_type_error_is_a_guard_eval_error():
     world = sim.init_world(static, {"A": 1})
     with pytest.raises(errors.GuardEvalError, match="cannot compute 1 \\+ 'x'"):
         sim.simulate(static, behavior, world)
+
+
+def test_plan_builds_the_covering_map_once(monkeypatch, beef):
+    static, _, behavior = beef
+    calls = []
+
+    def counted(events):
+        calls.append(len(events))
+        return covering_events(events)
+
+    monkeypatch.setattr(sim, "covering_events", counted)
+    monkeypatch.setattr(tmkit.events, "covering_events", counted)
+    sim.simulate(static, behavior, sim.init_world(static))
+    assert calls == [len(behavior.events)]
+
+
+def test_simulate_rejects_a_budget_below_1(bank):
+    static, _, behavior = bank
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        sim.simulate(static, behavior, sim.init_world(static), max_steps=0)
 
 
 # -- golden traces --
