@@ -11,8 +11,8 @@ from .model import (ActionKind, Action, FlowEdge, Store, StaticModel,
 from .dsl import ParseError, SourceUnit, parse, print_text
 from .events import (BehavioralModel, BehaviorEdge, EventRegion,
                      build_behavior, check_behavior, eventize)
-from .sim import (Trace, TraceEntry, WorldState, evaluate_guard, init_world,
-                  simulate, trace_to_json, trace_to_text)
+from .sim import (Trace, TraceEntry, WorldState, init_world, simulate,
+                  trace_to_json, trace_to_text)
 from .uml import (AttributeDef, ClassDef, ClassModel, MethodDef,
                   class_to_tm, read_class_json, tm_to_class,
                   write_class_json)
@@ -26,8 +26,8 @@ __all__ = [
     "validate_static", "ParseError", "SourceUnit", "parse", "print_text",
     "BehavioralModel", "BehaviorEdge", "EventRegion", "build_behavior",
     "check_behavior", "eventize", "Trace", "TraceEntry", "WorldState",
-    "evaluate_guard", "init_world", "simulate", "trace_to_json",
-    "trace_to_text", "AttributeDef", "ClassDef", "ClassModel", "MethodDef",
-    "class_to_tm", "read_class_json", "tm_to_class", "write_class_json",
-    "RenderOptions", "emit_dot",
+    "init_world", "simulate", "trace_to_json", "trace_to_text",
+    "AttributeDef", "ClassDef", "ClassModel", "MethodDef", "class_to_tm",
+    "read_class_json", "tm_to_class", "write_class_json", "RenderOptions",
+    "emit_dot",
 ]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dot, dsl, sim, uml
-from .errors import TmError
+from .errors import TmError, UmlError
 from .model import validate_static
 from .events import check_behavior
 
@@ -107,7 +107,7 @@ def _read(path: str) -> str:
 
 
 def _parse(path: str):
-    return dsl.parse(dsl.SourceUnit(_read(path), path))
+    return dsl.parse(_read(path))
 
 
 def _write_out(text: str, out):
@@ -150,7 +150,11 @@ def cmd_to_class(args) -> int:
 
 def cmd_to_tm(args) -> int:
     cm = uml.read_class_json(_read(args.file))
-    _write_out(dsl.print_text(uml.class_to_tm(cm)), args.out)
+    try:
+        text = dsl.print_text(uml.class_to_tm(cm))
+    except RecursionError:
+        raise UmlError("class hierarchy too deep") from None
+    _write_out(text, args.out)
     return OK
 
 

@@ -64,7 +64,6 @@ _ESCAPE_RE = re.compile(r"\\([\s\S])")
 @dataclasses.dataclass
 class SourceUnit:
     text: str
-    origin: str = "<memory>"
 
 
 class ParseError(TmError):
@@ -444,9 +443,9 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     behavior = None
     if behavior_edges is not None or terminals or repeatable:
         guards = {d.id: d.guard for d in event_decls}
-        edges = [
-            dataclasses.replace(e, guard=e.guard or guards.get(e.dst))
-            for e in (behavior_edges or [])]
+        edges = [e if e.guard is not None or guards.get(e.dst) is None
+                 else dataclasses.replace(e, guard=guards[e.dst])
+                 for e in behavior_edges or ()]
         behavior = build_behavior(events, edges, terminals, repeatable)
     return static, events, behavior
 

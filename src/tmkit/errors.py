@@ -53,10 +53,6 @@ class DuplicateEventId(EventError):
     pass
 
 
-class GuardPathUnstored(EventError):
-    pass
-
-
 # -- simulation --
 
 class SimError(TmError):

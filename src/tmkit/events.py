@@ -117,17 +117,6 @@ def covered_edges(model: StaticModel, events, covering=None) \
     return index
 
 
-def region_edges(model: StaticModel, region: EventRegion):
-    """Static flows and triggers with both endpoints covered."""
-    return covered_edges(model, [region])[region.id]
-
-
-def region_is_connected(model: StaticModel, region: EventRegion) -> bool:
-    """Weak connectivity of the covered subgraph (triggers count)."""
-    flows, triggers = region_edges(model, region)
-    return _is_connected(region.covers, flows + triggers)
-
-
 def _is_connected(covers, edges) -> bool:
     """Weak connectivity of the actions `covers` under `edges`."""
     adjacency = {a: [] for a in covers}

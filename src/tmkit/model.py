@@ -122,22 +122,9 @@ class StaticModel:
                 yield from walk(path, t.subthimacs)
         yield from walk("", self.thimacs)
 
-    def thimac_at(self, path: str) -> Optional[Thimac]:
-        node = None
-        children = self.thimacs
-        for part in path.split("."):
-            node = next((t for t in children if t.name == part), None)
-            if node is None:
-                return None
-            children = node.subthimacs
-        return node
-
     def store_paths(self) -> dict[str, Store]:
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
-
-    def thimac_names(self) -> set[str]:
-        return {t.name for _, t in self.iter_thimacs()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,13 +246,18 @@ def canonicalize(model: StaticModel) -> StaticModel:
 
     Thimac declaration order is preserved. Idempotent.
     """
-    def fix(t: Thimac) -> Thimac:
-        ids = tuple(sorted(
-            t.action_ids, key=lambda i: _KIND_RANK[model.actions[i].kind]))
-        return dataclasses.replace(
-            t, action_ids=ids, subthimacs=tuple(map(fix, t.subthimacs)))
+    rank = {aid: _KIND_RANK[a.kind] for aid, a in model.actions.items()}
 
-    thimacs = tuple(fix(t) for t in model.thimacs)
+    def fix(t: Thimac) -> Thimac:
+        ids = tuple(sorted(t.action_ids, key=rank.__getitem__))
+        # a loop, not map() or a comprehension: one Python frame and no
+        # C-level call per level of nesting
+        subs = []
+        for sub in t.subthimacs:
+            subs.append(fix(sub))
+        return Thimac(t.name, t.specializes, t.store, ids, tuple(subs))
+
+    thimacs = tuple(map(fix, model.thimacs))
     actions = {aid: model.actions[aid] for aid in sorted(model.actions)}
     flows = tuple(sorted(model.flows, key=lambda e: (e.src, e.dst)))
     triggers = tuple(sorted(model.triggers, key=lambda e: (e.src, e.dst)))

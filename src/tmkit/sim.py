@@ -107,10 +107,6 @@ def _write_store(world: WorldState, path: str, value):
     return old
 
 
-def evaluate_guard(guard: ex.Expr, world: WorldState) -> bool:
-    return bool(ex.evaluate(guard, world.stores))
-
-
 class _Plan:
     """What the run loop needs from one (static, behavior) pair.
 
@@ -217,7 +213,8 @@ def _next_enabled(plan, candidates, fired, triggered, inputs, world):
         if edges:
             satisfied = any(
                 edge.src in fired and (
-                    edge.guard is None or evaluate_guard(edge.guard, world))
+                    edge.guard is None
+                    or ex.evaluate(edge.guard, world.stores))
                 for edge in edges)
             if not satisfied:
                 continue

@@ -5,6 +5,15 @@ containment tree: specializing subthimacs become subclasses, stored
 subthimacs become attributes, action-only subthimacs become methods.
 The reverse direction expands each attribute into the standard stored
 five-action cluster and each method into a lone Process action.
+
+Checking. A class model is well formed when its class names are unique,
+every parent names a class and no chain of parents closes a cycle.
+`tm_to_class` reads a containment tree, which cannot form a cycle and
+whose parents are the enclosing classes, so it checks only that no two
+thimacs give the same class name. `class_to_tm` checks the whole
+invariant, once: one pass finds duplicate names and unknown parents,
+and the classes its walk from the roots does not reach lie on a cycle
+or lead into one. Both are linear in the number of classes.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ import logging
 from typing import Optional
 
 from . import model as md
-from .errors import AmbiguousSubthimac, CyclicGeneralization, SchemaError
+from .errors import (AmbiguousSubthimac, CyclicGeneralization,
+                     SchemaError, UmlError)
 
 log = logging.getLogger(__name__)
 
@@ -49,26 +59,6 @@ class ClassDef:
 class ClassModel:
     classes: tuple[ClassDef, ...] = ()
 
-    def class_named(self, name: str) -> Optional[ClassDef]:
-        return next((c for c in self.classes if c.name == name), None)
-
-
-def _check_generalization(cm: ClassModel):
-    names = {c.name for c in cm.classes}
-    for cls in cm.classes:
-        if cls.parent is not None and cls.parent not in names:
-            raise SchemaError(
-                f"class '{cls.name}' extends unknown '{cls.parent}'")
-    for cls in cm.classes:
-        seen = set()
-        node = cls
-        while node is not None and node.parent is not None:
-            if node.parent in seen or node.parent == cls.name:
-                raise CyclicGeneralization(
-                    f"generalization cycle through '{cls.name}'")
-            seen.add(node.parent)
-            node = cm.class_named(node.parent)
-
 
 # -- TM -> class --
 
@@ -76,14 +66,19 @@ def tm_to_class(static: md.StaticModel) -> ClassModel:
     """Recover a class model: one class per root thimac, recursing only
     into specializing subthimacs."""
     classes: list[ClassDef] = []
+    paths: dict[str, str] = {}
     for thimac in static.thimacs:
-        _classify(thimac, thimac.name, None, classes)
-    cm = ClassModel(tuple(classes))
-    _check_generalization(cm)
-    return cm
+        _classify(thimac, thimac.name, None, classes, paths)
+    return ClassModel(tuple(classes))
 
 
-def _classify(thimac: md.Thimac, path: str, parent, classes):
+def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
+    """Append the class of `thimac` and of its specializing descendants;
+    `paths` maps each class name taken so far to its thimac's path."""
+    if thimac.name in paths:
+        raise UmlError(f"class name '{thimac.name}' is used by both "
+                       f"'{paths[thimac.name]}' and '{path}'")
+    paths[thimac.name] = path
     attributes = []
     methods = []
     subclasses = []
@@ -110,7 +105,7 @@ def _classify(thimac: md.Thimac, path: str, parent, classes):
     classes.append(ClassDef(thimac.name, tuple(attributes), tuple(methods),
                             parent))
     for sub in subclasses:
-        _classify(sub, f"{path}.{sub.name}", thimac.name, classes)
+        _classify(sub, f"{path}.{sub.name}", thimac.name, classes, paths)
 
 
 def _is_action_only(thimac: md.Thimac) -> bool:
@@ -121,16 +116,24 @@ def _is_action_only(thimac: md.Thimac) -> bool:
 # -- class -> TM --
 
 def class_to_tm(cm: ClassModel) -> md.StaticModel:
-    """Expand a class model into the stored-attribute TM scaffold."""
-    _check_generalization(cm)
+    """Expand a class model into the stored-attribute TM scaffold; reject
+    a duplicate class name, an unknown parent or a cycle, in that order."""
+    names = {cls.name for cls in cm.classes}
+    if len(names) != len(cm.classes):
+        raise SchemaError("/classes: duplicate class name")
     children: dict[Optional[str], list[ClassDef]] = {}
     for cls in cm.classes:
+        if cls.parent is not None and cls.parent not in names:
+            raise SchemaError(
+                f"class '{cls.name}' extends unknown '{cls.parent}'")
         children.setdefault(cls.parent, []).append(cls)
 
     actions: list[md.Action] = []
     flows: list[md.FlowEdge] = []
+    reached: set[str] = set()
 
     def expand(cls: ClassDef, prefix: str) -> md.Thimac:
+        reached.add(cls.name)
         path = f"{prefix}.{cls.name}" if prefix else cls.name
         aid = md.action_id(path, md.ActionKind.CREATE)
         actions.append(md.Action(aid, md.ActionKind.CREATE, path))
@@ -138,11 +141,17 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
                 for attr in cls.attributes]
         subs += [_method_thimac(method, path, actions)
                  for method in cls.methods]
-        subs += [expand(sub, path) for sub in children.get(cls.name, [])]
+        # a loop, not a comprehension: one frame per level of nesting
+        for sub in children.get(cls.name, []):
+            subs.append(expand(sub, path))
         return md.Thimac(cls.name, specializes=prefix != "",
                          action_ids=(aid,), subthimacs=tuple(subs))
 
     roots = tuple(expand(cls, "") for cls in children.get(None, []))
+    for cls in cm.classes:  # all parents are known: a missed class cycles
+        if cls.name not in reached:
+            raise CyclicGeneralization(
+                f"generalization cycle through '{cls.name}'")
     return md.build_model(roots, actions, flows, [])
 
 
@@ -202,12 +211,7 @@ def read_class_json(text: str) -> ClassModel:
     classes = []
     for i, raw in enumerate(payload["classes"]):
         classes.append(_read_class(raw, f"/classes/{i}"))
-    cm = ClassModel(tuple(classes))
-    names = [c.name for c in cm.classes]
-    _require(len(names) == len(set(names)), "/classes",
-             "duplicate class name")
-    _check_generalization(cm)
-    return cm
+    return ClassModel(tuple(classes))
 
 
 def _read_class(raw, where) -> ClassDef:

@@ -70,8 +70,9 @@ def test_acceptance_3_bank_class_model(parsed_corpus):
     cm = uml.read_class_json(golden)
     assert [c.name for c in cm.classes] == [
         "BankAccount", "CheckingAccount", "SavingsAccount"]
-    assert cm.class_named("CheckingAccount").parent == "BankAccount"
-    assert cm.class_named("SavingsAccount").parent == "BankAccount"
+    by_name = {c.name: c for c in cm.classes}
+    assert by_name["CheckingAccount"].parent == "BankAccount"
+    assert by_name["SavingsAccount"].parent == "BankAccount"
     _passed("bank class extraction matches the golden JSON")
 
 

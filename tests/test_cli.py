@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tmkit
 from tmkit import cli, corpus, dsl
 
 
@@ -261,6 +266,81 @@ def test_to_tm_malformed_json(capsys, tmp_path):
     assert "/classes/0/oops" in err
 
 
+def test_to_class_rejects_a_class_name_used_twice(capsys, tmp_path):
+    path = tmp_path / "dup.tm"
+    path.write_text("thimac A { create; thimac X specializes { create; } }\n"
+                    "thimac B { create; thimac X specializes { create; } }\n")
+    assert run(capsys, "to-class", str(path)) == (
+        1, "", "error: class name 'X' is used by both 'A.X' and 'B.X'\n")
+
+
+def test_to_class_reports_a_name_clash_as_such(capsys, tmp_path):
+    path = tmp_path / "clash.tm"
+    path.write_text("thimac A { create; thimac B specializes { create; "
+                    "thimac A specializes { create; } } }\n")
+    code, out, err = run(capsys, "to-class", str(path))
+    assert code == 1
+    assert "cycle" not in err
+    assert "'A' and 'A.B.A'" in err
+
+
+@pytest.mark.parametrize("classes, message", [
+    pytest.param([{"name": "A"}, {"name": "A"}],
+                 "/classes: duplicate class name", id="duplicate"),
+    pytest.param([{"name": "A", "parent": "Z"}],
+                 "class 'A' extends unknown 'Z'", id="unknown-parent"),
+    pytest.param([{"name": "R"}, {"name": "A", "parent": "B"},
+                  {"name": "B", "parent": "A"}],
+                 "generalization cycle through 'A'", id="cycle"),
+    pytest.param([{"name": "A", "parent": "B"}, {"name": "B", "parent": "C"},
+                  {"name": "C", "parent": "B"}],
+                 "generalization cycle through 'A'", id="into-a-cycle"),
+    pytest.param([{"name": "A", "parent": "A"}],
+                 "generalization cycle through 'A'", id="self-parent"),
+])
+def test_to_tm_rejects_a_malformed_hierarchy(capsys, tmp_path, classes,
+                                              message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"classes": classes}))
+    assert run(capsys, "to-tm", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_to_tm_rejects_a_hierarchy_too_deep_to_print(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"classes": [
+        {"name": f"C{i}", "parent": f"C{i - 1}" if i else None}
+        for i in range(3000)]}))
+    assert run(capsys, "to-tm", str(path)) == (
+        1, "", "error: class hierarchy too deep\n")
+
+
+def _tm(*argv):
+    """Run `tm` in a fresh interpreter, whose stack starts empty."""
+    src = str(Path(tmkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tmkit.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
+    n = 980
+    source = tmp_path / "deep.tm"
+    # the attribute and method sit in the deepest class, where the stack
+    # is deepest; one per class would make the text quadratic in `n`
+    source.write_text("".join(
+        f"thimac C{i}{' specializes' if i else ''} {{ create; "
+        for i in range(n)) + "thimac a { store = 0; } thimac m { process; } "
+        + "}" * n + "\n")
+    classes, scaffold = tmp_path / "deep.json", tmp_path / "scaffold.tm"
+    for argv in (["to-class", str(source), "--out", str(classes)],
+                 ["to-tm", str(classes), "--out", str(scaffold)],
+                 ["check", str(scaffold)]):
+        result = _tm(*argv)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+    assert scaffold.read_text().count(" specializes {") == n - 1
+
+
 def test_out_flag_writes_file_only(capsys, tmp_path, bank_path):
     out_file = tmp_path / "bank.json"
     code, out, err = run(capsys, "to-class", bank_path, "--out",
@@ -357,3 +437,7 @@ def test_dot_behavior(capsys, bank_path):
 
 def test_usage_error(capsys):
     assert cli.main(["bogus-command"]) == 2
+
+
+def test_every_public_name_resolves():
+    assert [name for name in tmkit.__all__ if not hasattr(tmkit, name)] == []

@@ -4,8 +4,12 @@ from hypothesis import given, settings, strategies as st
 from tmkit import dsl, errors
 from tmkit import model as md
 from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
-                          check_behavior, covered_edges, eventize,
-                          region_edges)
+                          check_behavior, covered_edges, eventize)
+
+
+def region_edges(model, region):
+    """Static flows and triggers with both endpoints covered."""
+    return covered_edges(model, [region])[region.id]
 
 
 def test_eventize_beef_fetch_region(beef):

@@ -5,6 +5,7 @@ import pytest
 
 import tmkit.events
 from tmkit import dsl, errors, sim
+from tmkit import expr as ex
 from tmkit.events import covering_events
 from tmkit.expr import UNSET, Binary, Lit, PathRef
 from tmkit.model import ActionKind
@@ -57,7 +58,7 @@ def test_init_world_type_mismatch(human):
         sim.init_world(static, {"Human.weight": "heavy"})
 
 
-# -- evaluate_guard --
+# -- guards --
 
 def _guard_world(value):
     static, _, _ = dsl.parse("thimac SavingsBalance { store = 0; }")
@@ -69,18 +70,18 @@ def _guard_world(value):
 
 def test_guard_negative_balance_true():
     guard = Binary("<", PathRef("SavingsBalance"), Lit(0))
-    assert sim.evaluate_guard(guard, _guard_world(-50)) is True
+    assert ex.evaluate(guard, _guard_world(-50).stores) is True
 
 
 def test_guard_positive_balance_false():
     guard = Binary("<", PathRef("SavingsBalance"), Lit(0))
-    assert sim.evaluate_guard(guard, _guard_world(150)) is False
+    assert ex.evaluate(guard, _guard_world(150).stores) is False
 
 
 def test_guard_unset_store_raises():
     guard = Binary("<", PathRef("SavingsBalance"), Lit(0))
     with pytest.raises(errors.GuardEvalError):
-        sim.evaluate_guard(guard, _guard_world(None))
+        ex.evaluate(guard, _guard_world(None).stores)
 
 
 # -- simulate: fixtures --

@@ -18,12 +18,13 @@ def test_tm_to_class_bank(bank):
     cm = tm_to_class(static)
     assert [c.name for c in cm.classes] == [
         "BankAccount", "CheckingAccount", "SavingsAccount"]
-    bank_cls = cm.class_named("BankAccount")
+    by_name = {c.name: c for c in cm.classes}
+    bank_cls = by_name["BankAccount"]
     assert [a.name for a in bank_cls.attributes] == ["owner", "balance"]
     assert [a.value_type for a in bank_cls.attributes] == ["text", "number"]
     assert bank_cls.methods == ()
     for name in ("CheckingAccount", "SavingsAccount"):
-        sub = cm.class_named(name)
+        sub = by_name[name]
         assert sub.parent == "BankAccount"
         assert sub.attributes == ()
         assert [m.name for m in sub.methods] == ["withdrawal", "deposit"]
@@ -63,7 +64,7 @@ def test_class_to_tm_human():
     assert human.name == "Human"
     stored = [s.name for s in human.subthimacs if s.store is not None]
     assert stored == ["name", "weight", "gender"]
-    eat = static.thimac_at("Human.eat")
+    eat = next(s for s in human.subthimacs if s.name == "eat")
     assert eat.store is None
     kinds = {static.actions[a].kind for a in eat.action_ids}
     assert kinds == {ActionKind.PROCESS}
@@ -95,6 +96,42 @@ def test_cyclic_generalization_rejected():
     cm = ClassModel((ClassDef("A", parent="B"), ClassDef("B", parent="A")))
     with pytest.raises(errors.CyclicGeneralization):
         class_to_tm(cm)
+
+
+# -- random static models --
+
+@st.composite
+def _tm_texts(draw, level=1):
+    """`.tm` text for sibling thimacs `level` deep, at most three levels,
+    with names from a pool of four so that class names often clash."""
+    names = draw(st.lists(st.sampled_from("ABCD"), unique=True,
+                          max_size=3 if level < 3 else 1))
+    parts = []
+    for name in names:
+        head = f"thimac {name}" + (" specializes" if draw(st.booleans())
+                                   else "")
+        body = [draw(st.sampled_from(
+            ["", "store;", "store = 0;", 'store = "";', "store = true;"]))]
+        body += [f"{kind};" for kind in draw(st.lists(st.sampled_from(
+            ["create", "process", "release"]), unique=True, max_size=2))]
+        if level < 3:
+            body.append(draw(_tm_texts(level + 1)))
+        parts.append(f"{head} {{ {' '.join(body)} }}")
+    return " ".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tm_texts())
+def test_class_bridge_round_trips_every_model_it_accepts(text):
+    static, _, _ = dsl.parse(text)
+    try:
+        cm = tm_to_class(static)
+    except errors.UmlError as exc:
+        assert (isinstance(exc, errors.AmbiguousSubthimac)
+                or "is used by both" in str(exc))
+        return
+    assert read_class_json(write_class_json(cm)) == cm
+    assert tm_to_class(class_to_tm(cm)) == cm
 
 
 # -- random class models --
