@@ -8,10 +8,9 @@ stdout unless --out is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import dot, dsl, sim, uml
+from . import dsl
 from .errors import TmError, UmlError
 from .model import validate_static
 from .events import check_behavior
@@ -74,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial store fill, repeatable")
     p.add_argument("--input", action="append", default=[],
                    metavar="EVENT:PAYLOAD", help="event payload, repeatable")
-    p.add_argument("--max-steps", type=_positive_int,
-                   default=sim.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_positive_int)
     p.add_argument("--trace-format", choices=("text", "json"),
                    default="text")
     p.set_defaults(func=cmd_simulate)
@@ -119,6 +117,7 @@ def _write_out(text: str, out):
 
 
 def _parse_value(raw: str):
+    import json
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -143,12 +142,14 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_to_class(args) -> int:
+    from . import uml
     static, _, _ = _parse(args.file)
     _write_out(uml.write_class_json(uml.tm_to_class(static)), args.out)
     return OK
 
 
 def cmd_to_tm(args) -> int:
+    from . import uml
     cm = uml.read_class_json(_read(args.file))
     try:
         text = dsl.print_text(uml.class_to_tm(cm))
@@ -159,26 +160,22 @@ def cmd_to_tm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim
     static, events, behavior = _parse(args.file)
     if behavior is None:
         print("error: file declares no behavioral model", file=sys.stderr)
         return SEMANTIC
-    fills = {}
-    for raw in args.world:
-        path, _, value = raw.partition("=")
-        if not _:
-            print(f"error: bad --world value {raw!r}", file=sys.stderr)
-            return USAGE
-        fills[path] = _parse_value(value)
-    inputs = {}
-    for raw in args.input:
-        event, _, payload = raw.partition(":")
-        if not _:
-            print(f"error: bad --input value {raw!r}", file=sys.stderr)
-            return USAGE
-        inputs[event] = _parse_value(payload)
+    fills, inputs = {}, {}
+    for flag, sep, table in (("world", "=", fills), ("input", ":", inputs)):
+        for raw in getattr(args, flag):
+            key, found, value = raw.partition(sep)
+            if not found:
+                print(f"error: bad --{flag} value {raw!r}", file=sys.stderr)
+                return USAGE
+            table[key] = _parse_value(value)
     world = sim.init_world(static, fills)
-    trace = sim.simulate(static, behavior, world, inputs, args.max_steps)
+    trace = sim.simulate(static, behavior, world, inputs,
+                         args.max_steps or sim.DEFAULT_MAX_STEPS)
     if args.trace_format == "json":
         sys.stdout.write(sim.trace_to_json(trace))
     else:
@@ -190,6 +187,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from . import dot
     static, events, behavior = _parse(args.file)
     opts = dot.RenderOptions(args.target, args.show_stores, args.rankdir)
     if args.target == "behavior":

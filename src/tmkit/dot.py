@@ -6,14 +6,13 @@ solid edges, triggers dashed ones. Layout is left to external tooling.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import expr as ex
 from . import model as md
+from ._record import record
 from .events import BehavioralModel
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class RenderOptions:
     target: str = "static"  # "static" | "behavior"
     show_stores: bool = False

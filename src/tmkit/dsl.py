@@ -17,14 +17,13 @@ path only.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import re
-from typing import Optional
 
 from . import expr as ex
 from . import model as md
+from ._record import record
 from .errors import TmError
 from .events import (BehavioralModel, BehaviorEdge, EventRegion,
                      build_behavior, eventize)
@@ -61,7 +60,7 @@ _PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
-@dataclasses.dataclass
+@record
 class SourceUnit:
     text: str
 
@@ -111,6 +110,12 @@ def _classify(lexeme: str) -> tuple:
     return ("ERROR", f"unexpected character {first!r}")
 
 
+def is_name(text: str) -> bool:
+    """Whether `text` is one name token: a thimac, event or path part."""
+    return (_classify(text)[0] == "NAME"
+            and _LEXEME_RE.match(text).group(1) == text)
+
+
 def _tokenize(src: SourceUnit) -> list[tuple]:
     """The `(type, value)` tokens of the whole text, ending in EOF.
 
@@ -146,13 +151,13 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-@dataclasses.dataclass
+@record
 class _EventDecl:
     id: str
     label: str
     covers: list[str]
-    input_path: Optional[str]
-    guard: Optional[ex.Expr]
+    input_path: str | None
+    guard: ex.Expr | None
     guard_at: int  # token index where a guard starts, for error positions
 
 
@@ -415,7 +420,7 @@ class _Parser:
 
 
 def parse(src) -> tuple[md.StaticModel, list[EventRegion],
-                        Optional[BehavioralModel]]:
+                        BehavioralModel | None]:
     """Parse DSL text into a model, declared events, and a chronology."""
     if isinstance(src, str):
         src = SourceUnit(src)
@@ -444,7 +449,7 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     if behavior_edges is not None or terminals or repeatable:
         guards = {d.id: d.guard for d in event_decls}
         edges = [e if e.guard is not None or guards.get(e.dst) is None
-                 else dataclasses.replace(e, guard=guards[e.dst])
+                 else BehaviorEdge(e.src, e.dst, guards[e.dst])
                  for e in behavior_edges or ()]
         behavior = build_behavior(events, edges, terminals, repeatable)
     return static, events, behavior

@@ -15,11 +15,10 @@ rescans the model per event.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from typing import Optional
 
 from . import expr as ex
+from ._record import record
 from .errors import (DuplicateEventId, EmptyCover, UnknownActionPath,
                      UnknownEvent)
 from .model import FlowEdge, StaticModel, TriggerEdge, ValidationReport
@@ -27,23 +26,23 @@ from .model import FlowEdge, StaticModel, TriggerEdge, ValidationReport
 _NONE: frozenset[str] = frozenset()
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class EventRegion:
     id: str
     label: str
     covers: frozenset[str]
     #: store path a firing payload is written to; None means no input needed
-    input_path: Optional[str] = None
+    input_path: str | None = None
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class BehaviorEdge:
     src: str
     dst: str
-    guard: Optional[ex.Expr] = None
+    guard: ex.Expr | None = None
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class BehavioralModel:
     events: tuple[EventRegion, ...]
     edges: tuple[BehaviorEdge, ...]
@@ -66,17 +65,15 @@ class BehavioralModel:
         targets = {e.dst for e in self.edges}
         return [e.id for e in self.events if e.id not in targets]
 
-    def sinks(self) -> list[str]:
-        sources = {e.src for e in self.edges}
-        return [e.id for e in self.events if e.id not in sources]
-
     def terminal_events(self) -> frozenset[str]:
         """Declared terminals, defaulting to the sink events."""
-        return self.terminals or frozenset(self.sinks())
+        sources = {e.src for e in self.edges}
+        return self.terminals or frozenset(
+            e.id for e in self.events if e.id not in sources)
 
 
 def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
-             input_path: Optional[str] = None) -> EventRegion:
+             input_path: str | None = None) -> EventRegion:
     """Build a region from action paths; all paths must resolve."""
     paths = list(cover_paths)
     if not paths:
@@ -160,7 +157,7 @@ def build_behavior(events, edges, terminals=(), repeatable=()) \
 def check_behavior(behavior: BehavioralModel,
                    model: StaticModel) -> ValidationReport:
     """Report guard resolution errors plus cycle/reachability warnings."""
-    report = ValidationReport()
+    report = ValidationReport([])
     stores = model.store_paths()
     covered = covered_edges(model, behavior.events)
 

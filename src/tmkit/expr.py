@@ -7,35 +7,34 @@ and literals, `and`/`or`/`not`, and `+`/`-` for the update rules.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from typing import Union
 
+from ._record import record
 from .errors import GuardEvalError
 
 #: Sentinel for a store that exists but has no value yet.
 UNSET = object()
 
-Value = Union[int, float, str, bool]
+Value = int | float | str | bool
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Lit:
     value: Value
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class PathRef:
     path: str
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Unary:
     op: str  # "not"
     operand: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Binary:
     op: str  # and or < <= = != >= > + -
     left: "Expr"
@@ -71,7 +70,7 @@ class Binary:
                 + "".join(f", right={node.right!r})" for node in spine))
 
 
-Expr = Union[Lit, PathRef, Unary, Binary]
+Expr = Lit | PathRef | Unary | Binary
 
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne, ">=": operator.ge, ">": operator.gt}

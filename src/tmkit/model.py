@@ -8,11 +8,11 @@ without moving a thing.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from . import expr as ex
+from ._record import record
 from .errors import (DuplicateEdge, DuplicateId, DuplicateSiblingName,
                      TriggerShadowsFlow, UnknownPath)
 
@@ -53,14 +53,10 @@ LEGAL_INTER = {(ActionKind.TRANSFER, ActionKind.TRANSFER)}
 VALUE_TYPES = ("number", "text", "boolean", "reference")
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Store:
     """Single storage slot of a thimac. value None means undeclared type."""
-    value: Optional[ex.Value] = None
-
-    @property
-    def value_type(self) -> str:
-        return value_type_of(self.value)
+    value: ex.Value | None = None
 
 
 def value_type_of(value) -> str:
@@ -73,40 +69,40 @@ def value_type_of(value) -> str:
     return "text"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Action:
     id: str
     kind: ActionKind
     owner: str  # dotted path of the containing thimac
-    update: Optional[tuple[str, ex.Expr]] = None  # target path := expr
+    update: tuple[str, ex.Expr] | None = None  # target path := expr
 
 
 def action_id(owner: str, kind: ActionKind) -> str:
     return f"{owner}.{kind.value}"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class FlowEdge:
     src: str
     dst: str
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class TriggerEdge:
     src: str
     dst: str
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Thimac:
     name: str
     specializes: bool = False
-    store: Optional[Store] = None
+    store: Store | None = None
     action_ids: tuple[str, ...] = ()
     subthimacs: tuple["Thimac", ...] = ()
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class StaticModel:
     thimacs: tuple[Thimac, ...]
     actions: dict[str, Action]
@@ -127,7 +123,7 @@ class StaticModel:
                 for path, t in self.iter_thimacs() if t.store is not None}
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Diagnostic:
     severity: str  # "ERROR" | "WARNING"
     location: str
@@ -135,9 +131,12 @@ class Diagnostic:
     code: str
 
 
-@dataclasses.dataclass
+@record
 class ValidationReport:
-    diagnostics: list[Diagnostic] = dataclasses.field(default_factory=list)
+    diagnostics: list[Diagnostic]
+    # assignable, unlike other records: `report.diagnostics += more`
+    # stores the extended list back
+    __setattr__ = object.__setattr__
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -216,7 +215,7 @@ def validate_static(model: StaticModel) -> ValidationReport:
 
     Legality violations are errors; connectedness failures are warnings.
     """
-    report = ValidationReport()
+    report = ValidationReport([])
     for edge in model.flows:
         src = model.actions[edge.src]
         dst = model.actions[edge.dst]

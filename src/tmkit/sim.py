@@ -29,12 +29,11 @@ step.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Optional
 
 from . import expr as ex
 from . import model as md
+from ._record import record
 from .errors import FillPathUnstored, MissingInput, TypeMismatch
 from .events import (BehavioralModel, EventRegion, covered_edges,
                      covering_events)
@@ -42,22 +41,22 @@ from .events import (BehavioralModel, EventRegion, covered_edges,
 DEFAULT_MAX_STEPS = 10_000
 
 
-@dataclasses.dataclass
+@record
 class WorldState:
     stores: dict[str, object]  # path -> value or expr.UNSET
-    declared_types: dict[str, Optional[str]]
+    declared_types: dict[str, str | None]
     #: thing-tokens per location (action id); locations with none are absent
-    tokens: dict[str, int] = dataclasses.field(default_factory=dict)
+    tokens: dict[str, int]
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class StoreDelta:
     path: str
     old: object
     new: object
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class TraceEntry:
     step: int
     event: str
@@ -65,7 +64,7 @@ class TraceEntry:
     deltas: tuple[StoreDelta, ...]
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Trace:
     entries: tuple[TraceEntry, ...]
     outcome: str  # Completed | StepBudgetExhausted | Stuck
@@ -84,7 +83,7 @@ def init_world(static: md.StaticModel, fills=None) -> WorldState:
         stores[path] = ex.UNSET
         declared = thimac.store.value
         types[path] = None if declared is None else md.value_type_of(declared)
-    world = WorldState(stores, types)
+    world = WorldState(stores, types, {})
     for path, value in (fills or {}).items():
         _write_store(world, path, value)
     return world
@@ -203,11 +202,9 @@ def _update_candidates(plan, eid, candidates, fired, triggered):
 
 def _next_enabled(plan, candidates, fired, triggered, inputs, world):
     for eid in sorted(candidates):
-        if eid in fired:
-            if eid not in plan.repeatable:
-                continue
-            if eid not in triggered:
-                continue
+        if eid in fired and (eid not in plan.repeatable
+                             or eid not in triggered):
+            continue
         event = plan.event(eid)
         edges = plan.incoming.get(eid)
         if edges:
@@ -220,10 +217,8 @@ def _next_enabled(plan, candidates, fired, triggered, inputs, world):
                 continue
             if event.input_path is not None and eid not in inputs:
                 raise MissingInput(f"event '{eid}' needs an input payload")
-        else:
-            # entry event: without its payload it simply never starts
-            if event.input_path is not None and eid not in inputs:
-                continue
+        elif event.input_path is not None and eid not in inputs:
+            continue  # an entry event without its payload never starts
         return event
     return None
 

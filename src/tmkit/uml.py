@@ -18,44 +18,41 @@ or lead into one. Both are linear in the number of classes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import logging
-from typing import Optional
 
+from . import dsl
 from . import model as md
+from ._record import record
 from .errors import (AmbiguousSubthimac, CyclicGeneralization,
                      SchemaError, UmlError)
-
-log = logging.getLogger(__name__)
 
 #: default store literal used when expanding an attribute of a given type
 _TYPE_DEFAULTS = {"number": 0, "text": "", "boolean": False,
                   "reference": None}
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class AttributeDef:
     name: str
     value_type: str = "reference"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class MethodDef:
     name: str
     params: tuple[tuple[str, str], ...] = ()
-    returns: Optional[str] = None
+    returns: str | None = None
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class ClassDef:
     name: str
     attributes: tuple[AttributeDef, ...] = ()
     methods: tuple[MethodDef, ...] = ()
-    parent: Optional[str] = None
+    parent: str | None = None
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class ClassModel:
     classes: tuple[ClassDef, ...] = ()
 
@@ -94,13 +91,15 @@ def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
                     f"'{sub_path}' has both a store and action-only "
                     "children; cannot classify")
             attributes.append(
-                AttributeDef(sub.name, sub.store.value_type))
+                AttributeDef(sub.name, md.value_type_of(sub.store.value)))
             continue
         if _is_action_only(sub):
             methods.append(MethodDef(sub.name))
             continue
-        log.warning("subthimac '%s' has no store and is not action-only; "
-                    "treating as a reference attribute", sub_path)
+        import logging  # only here: it adds to every command's start-up
+        logging.getLogger(__name__).warning(
+            "subthimac '%s' has no store and is not action-only; "
+            "treating as a reference attribute", sub_path)
         attributes.append(AttributeDef(sub.name, "reference"))
     classes.append(ClassDef(thimac.name, tuple(attributes), tuple(methods),
                             parent))
@@ -121,7 +120,7 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
     names = {cls.name for cls in cm.classes}
     if len(names) != len(cm.classes):
         raise SchemaError("/classes: duplicate class name")
-    children: dict[Optional[str], list[ClassDef]] = {}
+    children: dict[str | None, list[ClassDef]] = {}
     for cls in cm.classes:
         if cls.parent is not None and cls.parent not in names:
             raise SchemaError(
@@ -217,7 +216,7 @@ def read_class_json(text: str) -> ClassModel:
 def _read_class(raw, where) -> ClassDef:
     _require(isinstance(raw, dict), where, "expected an object")
     _reject_unknown(raw, {"name", "parent", "attributes", "methods"}, where)
-    name = _read_str(raw, "name", where)
+    name = _read_name(raw, where)
     parent = raw.get("parent")
     _require(parent is None or isinstance(parent, str), f"{where}/parent",
              "expected a string or null")
@@ -226,7 +225,7 @@ def _read_class(raw, where) -> ClassDef:
         sub = f"{where}/attributes/{i}"
         _require(isinstance(item, dict), sub, "expected an object")
         _reject_unknown(item, {"name", "type"}, sub)
-        attributes.append(AttributeDef(_read_str(item, "name", sub),
+        attributes.append(AttributeDef(_read_name(item, sub),
                                        _read_type(item, "type", sub)))
     methods = []
     for i, item in enumerate(raw.get("methods", [])):
@@ -238,21 +237,24 @@ def _read_class(raw, where) -> ClassDef:
             psub = f"{sub}/params/{j}"
             _require(isinstance(p, dict), psub, "expected an object")
             _reject_unknown(p, {"name", "type"}, psub)
-            params.append((_read_str(p, "name", psub),
+            params.append((_read_name(p, psub),
                            _read_type(p, "type", psub)))
         returns = item.get("returns")
         _require(returns is None or returns in md.VALUE_TYPES,
                  f"{sub}/returns", "expected a value type or null")
-        methods.append(MethodDef(_read_str(item, "name", sub),
+        methods.append(MethodDef(_read_name(item, sub),
                                  tuple(params), returns))
     return ClassDef(name, tuple(attributes), tuple(methods), parent)
 
 
-def _read_str(raw, key, where):
-    _require(key in raw, f"{where}/{key}", "missing")
-    _require(isinstance(raw[key], str) and raw[key], f"{where}/{key}",
+def _read_name(raw, where):
+    _require("name" in raw, f"{where}/name", "missing")
+    name = raw["name"]
+    _require(isinstance(name, str) and name, f"{where}/name",
              "expected a non-empty string")
-    return raw[key]
+    _require(dsl.is_name(name), f"{where}/name",
+             f"not a .tm name: {name!r}")
+    return name
 
 
 def _read_type(raw, key, where):

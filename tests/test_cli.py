@@ -266,6 +266,34 @@ def test_to_tm_malformed_json(capsys, tmp_path):
     assert "/classes/0/oops" in err
 
 
+@pytest.mark.parametrize("cls, where, name", [
+    ({"name": "A b", "attributes": [{"name": "x.y", "type": "number"}]},
+     "/classes/0/name", "A b"),
+    ({"name": "A", "attributes": [{"name": "x.y", "type": "number"}]},
+     "/classes/0/attributes/0/name", "x.y"),
+    ({"name": "A", "methods": [{"name": "2go"}]},
+     "/classes/0/methods/0/name", "2go"),
+    ({"name": "A", "methods": [{"name": "go", "params": [
+        {"name": "a-b", "type": "text"}]}]},
+     "/classes/0/methods/0/params/0/name", "a-b"),
+])
+def test_to_tm_rejects_a_name_that_is_not_a_tm_name(capsys, tmp_path, cls,
+                                                   where, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"classes": [cls]}))
+    assert run(capsys, "to-tm", str(path)) == (
+        1, "", f"error: {where}: not a .tm name: {name!r}\n")
+
+
+def test_to_class_warns_of_a_subthimac_read_as_a_reference(tmp_path):
+    path = tmp_path / "ref.tm"
+    path.write_text("thimac A { create; thimac b { thimac c { store; } } }\n")
+    result = _tm("to-class", str(path))
+    assert (result.returncode, result.stderr) == (
+        0, "subthimac 'A.b' has no store and is not action-only; "
+        "treating as a reference attribute\n")
+
+
 def test_to_class_rejects_a_class_name_used_twice(capsys, tmp_path):
     path = tmp_path / "dup.tm"
     path.write_text("thimac A { create; thimac X specializes { create; } }\n"
@@ -314,13 +342,18 @@ def test_to_tm_rejects_a_hierarchy_too_deep_to_print(capsys, tmp_path):
         1, "", "error: class hierarchy too deep\n")
 
 
-def _tm(*argv):
-    """Run `tm` in a fresh interpreter, whose stack starts empty."""
+def _python(*argv):
+    """Run Python with tmkit importable, in a fresh interpreter."""
     src = str(Path(tmkit.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tmkit.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _tm(*argv):
+    """Run `tm` in a fresh interpreter, whose stack starts empty."""
+    return _python("-m", "tmkit.cli", *argv)
 
 
 def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
@@ -409,6 +442,13 @@ def test_simulate_type_error_exits_1(capsys, tmp_path):
     assert err == "error: cannot compute 1 + 'x'\n"
 
 
+@pytest.mark.parametrize("flag, raw", [("--world", "A"), ("--input", "E1")])
+def test_simulate_rejects_a_value_without_its_separator(capsys, bank_path,
+                                                        flag, raw):
+    assert run(capsys, "simulate", bank_path, flag, raw) == (
+        2, "", f"error: bad {flag} value {raw!r}\n")
+
+
 def test_simulate_deterministic(capsys, bank_path):
     argv = ["simulate", bank_path,
             "--world", "BankAccount=savings",
@@ -441,3 +481,13 @@ def test_usage_error(capsys):
 
 def test_every_public_name_resolves():
     assert [name for name in tmkit.__all__ if not hasattr(tmkit, name)] == []
+
+
+def test_importing_the_cli_loads_only_what_check_runs():
+    code = ("import sys; before = set(sys.modules); import tmkit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = set(_python("-c", code).stdout.split())
+    assert {"tmkit.cli", "tmkit.dsl"} <= loaded
+    assert loaded.isdisjoint({"tmkit.sim", "tmkit.uml", "tmkit.dot",
+                              "dataclasses", "inspect", "logging", "json",
+                              "typing"})

@@ -185,6 +185,18 @@ def test_tokenizer_table(text, expected):
     assert [type(t[1]) for t in stream] == [type(t[1]) for t in expected]
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("A", True), ("_x", True), ("über_1", True), ("thimac", True),
+    ("", False), ("A b", False), ("A ", False), (" A", False),
+    ("x.y", False), ("2go", False), ("²a", False), ("a-b", False),
+    ("a→", False), ("→", False), ('"a"', False), ("a#b", False),
+])
+def test_is_name_is_the_lexers_name_rule(text, expected):
+    assert dsl.is_name(text) is expected
+    if expected:
+        assert dsl._tokenize(dsl.SourceUnit(text))[0] == ("NAME", text)
+
+
 @pytest.mark.parametrize("text, line, col, message", [
     ('a\n  "abc', 2, 3, "unterminated string literal"),
     ('a\n  "abc\nd"', 2, 3, "unterminated string literal"),

@@ -1,8 +1,7 @@
-import dataclasses
-
 import pytest
 
 from tmkit import dsl, errors
+from tmkit.events import BehaviorEdge
 from tmkit.expr import (UNSET, Binary, Lit, PathRef, Unary, evaluate,
                         paths_in, to_text)
 
@@ -95,7 +94,7 @@ def test_equality_hash_and_repr_walk_long_chains():
         "thimac A { store = 0; create; } thimac B { store = 0; }\n"
         "event D covers { A.create }; event E covers { A.create };\n"
         f"behavior {{ D -> E guard {text}; }}\n")[2].edges[0]
-    assert hash(edge) == hash(dataclasses.replace(edge, guard=again))
+    assert hash(edge) == hash(BehaviorEdge(edge.src, edge.dst, again))
     printed = repr(edge)
     assert printed.startswith("BehaviorEdge(src='D', dst='E', guard=Binary("
                               "op='=', left=Binary(op='+', left=Binary(")

@@ -1,11 +1,11 @@
-import dataclasses
 import itertools
 
 import pytest
 
 from tmkit import errors, model as md
-from tmkit.model import (Action, ActionKind, FlowEdge, Thimac, TriggerEdge,
-                         build_model, canonicalize, validate_static)
+from tmkit.model import (Action, ActionKind, FlowEdge, StaticModel, Thimac,
+                         TriggerEdge, build_model, canonicalize,
+                         validate_static)
 
 K = ActionKind
 
@@ -146,10 +146,9 @@ def test_canonicalize_idempotent(parsed_corpus):
 
 def test_canonicalize_order_insensitive(beef):
     static, _, _ = beef
-    shuffled = dataclasses.replace(
-        static,
-        flows=tuple(reversed(static.flows)),
-        triggers=tuple(reversed(static.triggers)))
+    shuffled = StaticModel(static.thimacs, static.actions,
+                           tuple(reversed(static.flows)),
+                           tuple(reversed(static.triggers)))
     assert canonicalize(shuffled) == canonicalize(static)
 
 
