@@ -59,6 +59,11 @@ _PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
 
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
+#: How deep thimacs may nest. Every command recurses once per level, and
+#: each handles a file this deep in a fresh interpreter; one level deeper
+#: is the parse error `nesting too deep`.
+MAX_THIMAC_DEPTH = 981
+
 
 @record
 class SourceUnit:
@@ -242,7 +247,9 @@ class _Parser:
         return (thimacs, actions, flows, triggers, event_decls,
                 behavior_edges, terminals, repeatable)
 
-    def parse_thimac(self, prefix: str, actions) -> md.Thimac:
+    def parse_thimac(self, prefix: str, actions, depth=1) -> md.Thimac:
+        if depth > MAX_THIMAC_DEPTH:
+            raise self.error(self.pos, "nesting too deep")
         self.expect("NAME", "thimac")
         name = self.expect("NAME")
         path = f"{prefix}.{name}" if prefix else name
@@ -255,7 +262,7 @@ class _Parser:
             start = self.pos
             word = self.keyword()
             if word == "thimac":
-                subthimacs.append(self.parse_thimac(path, actions))
+                subthimacs.append(self.parse_thimac(path, actions, depth + 1))
             elif word == "store":
                 if store is not None:
                     raise self.error(start, f"store re-declared in '{path}'")
@@ -372,16 +379,16 @@ class _Parser:
     # -- expressions --
 
     def parse_or(self) -> ex.Expr:
-        left = self.parse_and()
+        first, rest = self.parse_and(), []
         while self.take("NAME", "or"):
-            left = ex.Binary("or", left, self.parse_and())
-        return left
+            rest.append(("or", self.parse_and()))
+        return ex.chain(first, rest)
 
     def parse_and(self) -> ex.Expr:
-        left = self.parse_not()
+        first, rest = self.parse_not(), []
         while self.take("NAME", "and"):
-            left = ex.Binary("and", left, self.parse_not())
-        return left
+            rest.append(("and", self.parse_not()))
+        return ex.chain(first, rest)
 
     def parse_not(self) -> ex.Expr:
         if self.take("NAME", "not"):
@@ -397,11 +404,10 @@ class _Parser:
         return left
 
     def parse_additive(self) -> ex.Expr:
-        left = self.parse_primary()
+        first, rest = self.parse_primary(), []
         while self.tokens[self.pos][0] in ("+", "-"):
-            op = self.next()
-            left = ex.Binary(op, left, self.parse_primary())
-        return left
+            rest.append((self.next(), self.parse_primary()))
+        return ex.chain(first, rest)
 
     def parse_primary(self) -> ex.Expr:
         value = self.take_literal()

@@ -3,10 +3,19 @@
 Used by guards on behavioral edges and by update rules attached to Process
 actions. The grammar is deliberately tiny: comparisons between store paths
 and literals, `and`/`or`/`not`, and `+`/`-` for the update rules.
+
+The nodes are `Lit` (a literal), `PathRef` (a store read), `Unary` (`not`),
+`Binary` (one comparison) and `Chain`, a run of one operator level:
+`a + b - c` is `Chain(a, (("+", b), ("-", c)))`, and a run of `and` or of
+`or` is a Chain of that operator alone. Build chains with `chain`, which
+extends a first operand that is a chain of the same run, so `(a + b) + c`
+and `a + b + c` are one tree. Every function here loops along a run and
+recurses only into operands, whose depth the parser bounds.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from ._record import record
@@ -36,85 +45,57 @@ class Unary:
 
 @record
 class Binary:
-    op: str  # and or < <= = != >= > + -
+    op: str  # < <= = != >= >
     left: "Expr"
     right: "Expr"
 
-    # The generated __eq__, __hash__ and __repr__ would recurse once per
-    # operator of a chain; these give the same results along the spine.
 
-    def __eq__(self, other):
-        if type(other) is not Binary:
-            return NotImplemented
-        a, b = self, other
-        while type(a) is Binary and type(b) is Binary:
-            if a is b:
-                return True
-            if a.op != b.op or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
-
-    def __hash__(self):
-        spine, bottom = _left_spine(self)
-        value = hash(bottom)
-        for node in spine:
-            value = hash((node.op, value, node.right))
-        return value
-
-    def __repr__(self):
-        spine, bottom = _left_spine(self)
-        return ("".join(f"Binary(op={node.op!r}, left="
-                        for node in reversed(spine))
-                + repr(bottom)
-                + "".join(f", right={node.right!r})" for node in spine))
+@record
+class Chain:
+    first: "Expr"
+    rest: tuple[tuple[str, "Expr"], ...]  # (op, operand): and, or, + or -
 
 
-Expr = Lit | PathRef | Unary | Binary
+Expr = Lit | PathRef | Unary | Binary | Chain
 
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 
-_ARITH = ("+", "-")
-
-# The parser builds `a + b + c` and `a and b and c` as left-deep trees, so
-# the walkers below follow the left spine of a Binary in a loop and
-# recurse only into right operands and `not`, whose depth the parser
-# bounds.
+#: The run an operator belongs to: `+` and `-` mix, `and` and `or` do not.
+_RUN = {"and": "and", "or": "or", "+": "+", "-": "+"}
 
 
-def _left_spine(expr: Binary) -> tuple[list[Binary], Expr]:
-    """The Binary nodes down the left edge, innermost first, and the
-    non-Binary expression at its bottom."""
-    spine = []
-    while isinstance(expr, Binary):
-        spine.append(expr)
-        expr = expr.left
-    spine.reverse()
-    return spine, expr
+def chain(first: Expr, rest) -> Expr:
+    """`first` followed by the `(op, operand)` pairs of one run, as one
+    node; `first` itself if there are none."""
+    if not rest:
+        return first
+    rest = tuple(rest)
+    if type(first) is Chain and _RUN[first.rest[0][0]] == _RUN[rest[0][0]]:
+        return Chain(first.first, first.rest + rest)
+    return Chain(first, rest)
 
 
 def paths_in(expr: Expr) -> set[str]:
     """All store paths referenced by the expression."""
-    paths = set()
-    stack = [expr]
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, PathRef):
-            paths.add(expr.path)
-        elif isinstance(expr, Unary):
-            stack.append(expr.operand)
-        elif isinstance(expr, Binary):
-            stack += (expr.left, expr.right)
-    return paths
+    kind = type(expr)
+    if kind is PathRef:
+        return {expr.path}
+    if kind is Unary:
+        return paths_in(expr.operand)
+    if kind is Binary:
+        return paths_in(expr.left) | paths_in(expr.right)
+    if kind is Chain:
+        return paths_in(expr.first).union(
+            *(paths_in(operand) for _, operand in expr.rest))
+    return set()
 
 
-def evaluate(expr: Expr, stores: dict, _left=UNSET) -> Value:
+def evaluate(expr: Expr, stores: dict) -> Value:
     """Evaluate against a path -> value map.
 
-    Raises GuardEvalError for unknown or unset store reads and for
-    operands an operator cannot take. `_left` is the value of a Binary's
-    left operand when the caller has already computed it.
+    Raises GuardEvalError for unknown or unset store reads, for operands
+    an operator cannot take and for a sum beyond the largest float.
     """
     kind = type(expr)  # faster than isinstance on this hot path
     if kind is Lit:
@@ -126,82 +107,83 @@ def evaluate(expr: Expr, stores: dict, _left=UNSET) -> Value:
         if value is UNSET:
             raise GuardEvalError(f"store '{expr.path}' is unset")
         return value
+    if kind is Binary:
+        left = evaluate(expr.left, stores)
+        right = evaluate(expr.right, stores)
+        compare = _CMP.get(expr.op)
+        if compare is None:
+            raise GuardEvalError(f"unknown operator {expr.op!r}")
+        try:
+            return compare(left, right)
+        except TypeError as exc:
+            raise GuardEvalError(
+                f"cannot compare {left!r} with {right!r}") from exc
     if kind is Unary:
         return not evaluate(expr.operand, stores)
-    left = _left
-    if left is UNSET:
-        left = expr.left
-        if type(left) is Binary and type(left.left) is Binary:
-            spine, bottom = _left_spine(left)
-            left = evaluate(bottom, stores)
-            for node in spine:
-                left = evaluate(node, stores, left)
+    value = evaluate(expr.first, stores)
+    for op, operand in expr.rest:
+        if op == "+" or op == "-":
+            right = evaluate(operand, stores)
+            try:
+                new = value + right if op == "+" else value - right
+                if type(new) is float and not math.isfinite(new):
+                    raise OverflowError
+            except (TypeError, OverflowError) as exc:
+                raise GuardEvalError(
+                    f"cannot compute {value!r} {op} {right!r}") from exc
+            value = new
+        elif op == "and":
+            if not value:
+                return False
+            value = bool(evaluate(operand, stores))
+        elif op == "or":
+            if value:
+                return True
+            value = bool(evaluate(operand, stores))
         else:
-            left = evaluate(left, stores)
-    op = expr.op
-    if op == "and":
-        return bool(left) and bool(evaluate(expr.right, stores))
-    if op == "or":
-        return bool(left) or bool(evaluate(expr.right, stores))
-    right = evaluate(expr.right, stores)
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        compare = _CMP.get(op)
-        if compare is None:
             raise GuardEvalError(f"unknown operator {op!r}")
-        return compare(left, right)
-    except (TypeError, OverflowError) as exc:
-        if op in _CMP:
-            message = f"cannot compare {left!r} with {right!r}"
-        else:
-            message = f"cannot compute {left!r} {op} {right!r}"
-        raise GuardEvalError(message) from exc
+    return value
 
 
 def to_text(expr: Expr) -> str:
     """Deterministic concrete syntax; reparses to an equal expression.
 
-    The operand of `not` and the operands of `and`/`or` are in
-    parentheses, except the left one in a chain of one of them
-    (`(a) and (b) and (c)`); other operands only where the grammar needs
-    them.
+    Every operand of `not`, `and` and `or` is in parentheses; other
+    operands only where the grammar needs them, as in `a - (b - c)` and
+    `(a < b) = c`.
     """
-    if isinstance(expr, Lit):
+    kind = type(expr)
+    if kind is Lit:
         return _lit_text(expr.value)
-    if isinstance(expr, PathRef):
+    if kind is PathRef:
         return expr.path
-    if isinstance(expr, Unary):
+    if kind is Unary:
         return f"not ({to_text(expr.operand)})"
-    spine, bottom = _left_spine(expr)
-    parts = [to_text(bottom)]
-    opens = 0  # parentheses to open in front of everything
-    left = bottom
-    for node in spine:
-        logical = node.op in ("and", "or")
-        if logical:
-            wrap = not (isinstance(left, Binary) and left.op == node.op)
-        else:
-            wrap = not _is_additive(left)
-        if wrap:
-            opens += 1
-            parts.append(")")
-        right = to_text(node.right)
-        if logical or not _is_additive(node.right) or (
-                node.op in _ARITH and isinstance(node.right, Binary)):
-            right = f"({right})"
-        parts.append(f" {node.op} {right}")
-        left = node
-    return "(" * opens + "".join(parts)
+    if kind is Binary:
+        return f"{_term(expr.left)} {expr.op} {_term(expr.right)}"
+    logical = not _is_additive(expr)
+    parts = [f"({to_text(expr.first)})" if logical else _term(expr.first)]
+    for op, operand in expr.rest:
+        text = to_text(operand)
+        if logical or type(operand) not in _LEAVES:
+            text = f"({text})"
+        parts.append(f" {op} {text}")
+    return "".join(parts)
+
+
+_LEAVES = (Lit, PathRef)
 
 
 def _is_additive(expr: Expr) -> bool:
     """True if the grammar reads the text as one comparison operand."""
-    if isinstance(expr, Binary):
-        return expr.op in _ARITH
-    return not isinstance(expr, Unary)
+    return type(expr) in _LEAVES or (
+        type(expr) is Chain and _RUN[expr.rest[0][0]] == "+")
+
+
+def _term(expr: Expr) -> str:
+    """The text of a comparison or sum operand."""
+    text = to_text(expr)
+    return text if _is_additive(expr) else f"({text})"
 
 
 def _lit_text(value: Value) -> str:
@@ -213,8 +195,10 @@ def _lit_text(value: Value) -> str:
         return f'"{escaped}"'
     text = repr(value)
     if isinstance(value, float) and "e" in text:  # the grammar has no exponent
-        import decimal  # only here: it adds to every command's start-up
-        text = format(decimal.Decimal(text), "f")
-        if "." not in text:
-            text += ".0"
+        mantissa, _, exponent = text.lstrip("-").partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        point = len(whole) + int(exponent)  # the point's place in the digits
+        digits = ("0" * (1 - point) + whole + fraction).ljust(point + 1, "0")
+        point = max(point, 1)
+        text = f"{'-' * (value < 0)}{digits[:point]}.{digits[point:]}"
     return text

@@ -30,6 +30,7 @@ step.
 from __future__ import annotations
 
 import json
+import math
 
 from . import expr as ex
 from . import model as md
@@ -92,6 +93,10 @@ def init_world(static: md.StaticModel, fills=None) -> WorldState:
 def _write_store(world: WorldState, path: str, value):
     if path not in world.stores:
         raise FillPathUnstored(f"no store at path '{path}'")
+    if not (value is None or isinstance(value, (bool, str, int))
+            or isinstance(value, float) and math.isfinite(value)):
+        raise TypeMismatch(f"store '{path}' holds a finite number, text, "
+                           f"a boolean or a reference, got {value!r}")
     new_type = md.value_type_of(value)
     declared = world.declared_types[path]
     if declared is not None and new_type != declared:

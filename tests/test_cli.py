@@ -374,6 +374,52 @@ def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
     assert scaffold.read_text().count(" specializes {") == n - 1
 
 
+def _nest(depth, inner, member=""):
+    """`.tm` text of `specializes` classes nested `depth - 1` deep, each
+    holding `member`, around `inner`, which sits `depth` deep."""
+    return ("".join(f"thimac C{i}{' specializes' if i else ''} {{ create; "
+                    + member for i in range(depth - 1))
+            + inner + "}" * (depth - 1) + "\n")
+
+
+def test_every_command_takes_thimacs_nested_to_the_bound(tmp_path):
+    depth = dsl.MAX_THIMAC_DEPTH
+    deepest = ".".join(f"C{i}" for i in range(depth - 1))
+    # the deepest thimacs hold what costs each command the most frames; an
+    # attribute in every class would make the scaffold quadratic in depth
+    source = tmp_path / "deep.tm"
+    source.write_text(_nest(depth, (
+        "thimac D { store = 0.00001; create; process; transfer; receive; "
+        "release; } thimac a { store = -1.5; } thimac m { process; } "))
+        + f"event E covers {{ {deepest}.D.create }};\n"
+        "behavior { }\nterminal E;\n")
+    classes, scaffold = tmp_path / "deep.json", tmp_path / "scaffold.tm"
+    for argv in (["check", source], ["fmt", source], ["dot", source],
+                 ["dot", source, "--show-stores"],
+                 ["dot", source, "--target", "behavior"],
+                 ["simulate", source],
+                 ["simulate", source, "--trace-format", "json"],
+                 ["to-class", source, "--out", classes],
+                 ["to-tm", classes, "--out", scaffold],
+                 ["check", scaffold], ["fmt", scaffold]):
+        result = _tm(*map(str, argv))
+        assert (result.returncode, result.stderr) == (0, ""), argv
+    assert f"{deepest}.D.create" in _tm("simulate", str(source)).stdout
+
+
+@pytest.mark.parametrize("classes", [dsl.MAX_THIMAC_DEPTH, 989])
+def test_thimacs_nested_past_the_bound_are_a_parse_error(tmp_path, classes):
+    # at 989 classes, `tm check` once took this file, while the `tm to-tm`
+    # scaffold of its `tm to-class` output failed `tm check`
+    source = tmp_path / "deep.tm"
+    source.write_text(_nest(classes + 1, "", "thimac a { store = 0; } "))
+    for command in ("check", "fmt", "dot", "simulate", "to-class"):
+        result = _tm(command, str(source))
+        assert result.returncode == 2, command
+        assert result.stderr.startswith("parse error: 1:"), command
+        assert result.stderr.endswith(": nesting too deep\n"), command
+
+
 def test_out_flag_writes_file_only(capsys, tmp_path, bank_path):
     out_file = tmp_path / "bank.json"
     code, out, err = run(capsys, "to-class", bank_path, "--out",
@@ -440,6 +486,44 @@ def test_simulate_type_error_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", str(path), "--world", "A=1")
     assert code == 1
     assert err == "error: cannot compute 1 + 'x'\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON (RFC 8259): {name}")
+
+
+@pytest.mark.parametrize("store, flag, value, shown", [
+    ('""', "--world", "A=[1]", "[1]"),
+    ("0", "--world", "A=[1]", "[1]"),
+    ("0", "--world", 'A={"a": 1}', "{'a': 1}"),
+    ("0", "--world", "A=1e400", "inf"),
+    ("0", "--world", "A=NaN", "nan"),
+    ("0", "--world", "A=-Infinity", "-inf"),
+    ("0", "--input", "E:1e400", "inf"),
+])
+def test_simulate_rejects_a_store_value_of_no_value_type(
+        capsys, tmp_path, store, flag, value, shown):
+    path = tmp_path / "fill.tm"
+    path.write_text(f"thimac A {{ store = {store}; create; }}\n"
+                    "event E covers { A.create } input A;\n"
+                    "behavior { }\n")
+    assert run(capsys, "simulate", str(path), flag, value) == (
+        1, "", "error: store 'A' holds a finite number, text, a boolean or "
+        f"a reference, got {shown}\n")
+
+
+def test_simulate_overflow_is_an_error_not_infinity(capsys, tmp_path):
+    path = tmp_path / "double.tm"
+    path.write_text("thimac A { store = 0.0; process = A := A + A; }\n"
+                    "event E covers { A.process };\nbehavior { }\n")
+    argv = ["simulate", str(path), "--trace-format", "json"]
+    code, out, err = run(capsys, *argv, "--world", "A=1.5e308")
+    assert (code, out, err) == (
+        1, "", "error: cannot compute 1.5e+308 + 1.5e+308\n")
+    code, out, err = run(capsys, *argv, "--world", "A=1e307")
+    assert (code, err) == (0, "")
+    trace = json.loads(out, parse_constant=_reject_constant)
+    assert trace[0]["deltas"] == [{"path": "A", "old": 1e307, "new": 2e307}]
 
 
 @pytest.mark.parametrize("flag, raw", [("--world", "A"), ("--input", "E1")])

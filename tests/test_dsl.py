@@ -1,7 +1,10 @@
-import pytest
+import decimal
 
-from tmkit import corpus, dsl
-from tmkit.expr import to_text
+import pytest
+from hypothesis import given, strategies as st
+
+from tmkit import corpus, dsl, expr
+from tmkit.expr import Binary, Chain, Lit, PathRef, Unary, to_text
 from tmkit.model import ActionKind, canonicalize
 
 STACK_SRC = ("thimac Stack { store; transfer; receive; create; } "
@@ -137,7 +140,10 @@ def test_guard_expression_grammar():
            "behavior { D -> E; }\n")
     static, events, behavior = dsl.parse(src)
     assert events[1].id == "E"
-    assert behavior.edges[0].guard.op == "and"
+    a, b = PathRef("A"), PathRef("B")
+    assert behavior.edges[0].guard == Chain(
+        Chain(Binary("<", a, Lit(0)), (("or", Binary(">=", a, Lit(10))),)),
+        (("and", Unary("not", Binary("!=", b, Lit(3)))),))
 
 
 def _stream(text):
@@ -243,7 +249,9 @@ def test_literal_errors_keep_their_messages():
     static, _, _ = dsl.parse(
         "thimac A { store = -2; process = A := A - -1.5 + true; }")
     assert static.thimacs[0].store.value == -2
-    assert static.actions["A.process"].update[1].right.value is True
+    rule = static.actions["A.process"].update[1]
+    assert rule == Chain(PathRef("A"), (("-", Lit(-1.5)), ("+", Lit(True))))
+    assert rule.rest[1][1].value is True
 
 
 def test_guard_on_entry_event_is_rejected():
@@ -283,3 +291,11 @@ def test_float_literals_print_without_exponent():
     assert dsl.parse(text)[0] == static
     with pytest.raises(dsl.ParseError, match="1:20: number too long"):
         dsl.parse("thimac A { store = " + "9" * 400 + ".; }")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_floats_print_as_their_exact_decimal_digits(value):
+    text = expr._lit_text(value)
+    expected = format(decimal.Decimal(repr(value)), "f")
+    assert text == (expected if "." in expected else expected + ".0")
+    assert float(text) == value

@@ -1,17 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
 from tmkit.events import BehaviorEdge
-from tmkit.expr import (UNSET, Binary, Lit, PathRef, Unary, evaluate,
-                        paths_in, to_text)
+from tmkit.expr import (UNSET, Binary, Chain, Lit, PathRef, Unary, chain,
+                        evaluate, paths_in, to_text)
 
 
 def _chain(op, operand, n):
-    """`operand op operand op …` with n operands, left-deep as parsed."""
-    expr = operand
-    for _ in range(n - 1):
-        expr = Binary(op, expr, operand)
-    return expr
+    """`operand op operand op …` with n operands, as parsed."""
+    return chain(operand, [(op, operand)] * (n - 1))
 
 
 def _guard(text):
@@ -32,26 +30,37 @@ def test_long_chains_need_no_recursion():
     assert not evaluate(_chain("or", Binary("=", a, Lit(2)), 5000), stores)
     assert paths_in(_chain("+", a, 5000)) == {"A"}
     assert to_text(_chain("-", a, 5000)) == " - ".join(["A"] * 5000)
+    one, other = _chain("+", a, 5000), _chain("+", PathRef("A"), 5000)
+    assert one == other and hash(one) == hash(other)
+    assert one != _chain("-", a, 5000)
+    assert repr(one).count("('+', PathRef(path='A'))") == 4999
 
 
 def test_and_or_short_circuit_along_a_chain():
     stores = {"A": 1, "B": UNSET}
     read_b = Binary("=", PathRef("B"), Lit(1))
     false, true = Binary("=", PathRef("A"), Lit(2)), Lit(True)
-    assert evaluate(Binary("and", Binary("and", false, read_b), read_b),
+    assert evaluate(chain(false, [("and", read_b), ("and", read_b)]),
                     stores) is False
-    assert evaluate(Binary("or", Binary("or", true, read_b), read_b),
+    assert evaluate(chain(true, [("or", read_b), ("or", read_b)]),
                     stores) is True
+    assert evaluate(chain(Lit(0), [("or", Lit(2))]), stores) is True
     with pytest.raises(errors.GuardEvalError, match="'B' is unset"):
-        evaluate(Binary("and", Binary("and", true, true), read_b), stores)
+        evaluate(chain(true, [("and", true), ("and", read_b)]), stores)
 
 
 @pytest.mark.parametrize("expr, message", [
-    (Binary("+", Lit(1), Lit("x")), "cannot compute 1 + 'x'"),
-    (Binary("-", Lit("a"), Lit("b")), "cannot compute 'a' - 'b'"),
-    (Binary("+", Lit(10 ** 400), Lit(0.5)), "cannot compute"),
+    (chain(Lit(1), [("+", Lit("x"))]), "cannot compute 1 + 'x'"),
+    (chain(Lit("a"), [("-", Lit("b"))]), "cannot compute 'a' - 'b'"),
+    (chain(Lit(10 ** 400), [("+", Lit(0.5))]), "cannot compute"),
     (Binary("<", Lit(1), Lit("x")), "cannot compare 1 with 'x'"),
     (Binary("^", Lit(1), Lit(2)), "unknown operator '^'"),
+    (chain(Lit(1.5e308), [("+", Lit(1.5e308))]),
+     "cannot compute 1.5e+308 + 1.5e+308"),
+    (chain(Lit(1), [("+", Lit(2)), ("-", Lit(-1.7e308)),
+                    ("-", Lit(-1.7e308))]),
+     "cannot compute 1.7e+308 - -1.7e+308"),
+    (chain(Lit(1), [("^", Lit(2))]), "unknown operator '^'"),
 ])
 def test_bad_operands_raise_guard_eval_error(expr, message):
     with pytest.raises(errors.GuardEvalError) as exc:
@@ -79,9 +88,10 @@ def test_to_text_reparses_to_the_same_tree(text, printed):
 
 
 def test_paths_in_walks_every_operand():
-    guard = Unary("not", Binary("or", PathRef("A"),
-                                Binary("<", PathRef("B.c"), Lit(1))))
-    assert paths_in(guard) == {"A", "B.c"}
+    guard = Unary("not", chain(PathRef("A"), [
+        ("or", Binary("<", PathRef("B.c"), chain(PathRef("D"), [
+            ("-", Lit(1))])))]))
+    assert paths_in(guard) == {"A", "B.c", "D"}
 
 
 def test_equality_hash_and_repr_walk_long_chains():
@@ -96,21 +106,89 @@ def test_equality_hash_and_repr_walk_long_chains():
         f"behavior {{ D -> E guard {text}; }}\n")[2].edges[0]
     assert hash(edge) == hash(BehaviorEdge(edge.src, edge.dst, again))
     printed = repr(edge)
-    assert printed.startswith("BehaviorEdge(src='D', dst='E', guard=Binary("
-                              "op='=', left=Binary(op='+', left=Binary(")
-    assert printed.endswith(", right=PathRef(path='A')), "
+    assert printed.startswith(
+        "BehaviorEdge(src='D', dst='E', guard=Binary(op='=', left=Chain("
+        "first=PathRef(path='A'), rest=(('+', PathRef(path='A')), ")
+    assert printed.endswith(", ('+', PathRef(path='A')))), "
                             "right=Lit(value=1)))")
     assert printed.count("PathRef(path='A')") == 3000
 
 
 def test_repr_matches_the_dataclass_form():
-    expr = Binary("and", Binary("<", PathRef("A"), Lit(1)),
-                  Unary("not", Binary("+", Lit(2), Lit("x"))))
+    expr = chain(Binary("<", PathRef("A"), Lit(1)), [
+        ("and", Unary("not", chain(Lit(2), [("+", Lit("x"))])))])
     assert repr(expr) == (
-        "Binary(op='and', left=Binary(op='<', left=PathRef(path='A'), "
-        "right=Lit(value=1)), right=Unary(op='not', operand=Binary(op='+', "
-        "left=Lit(value=2), right=Lit(value='x'))))")
+        "Chain(first=Binary(op='<', left=PathRef(path='A'), "
+        "right=Lit(value=1)), rest=(('and', Unary(op='not', operand=Chain("
+        "first=Lit(value=2), rest=(('+', Lit(value='x')),)))),))")
     assert expr == eval(repr(expr))
-    assert expr != Binary("and", Binary("<", PathRef("A"), Lit(1)), Lit(1))
-    assert Binary("+", Lit(1), Lit(2)) != Lit(1)
+    assert expr != chain(Binary("<", PathRef("A"), Lit(1)),
+                         [("and", Lit(1))])
+    assert chain(Lit(1), [("+", Lit(2))]) != Lit(1)
     assert len({expr, eval(repr(expr))}) == 1
+
+
+@pytest.mark.parametrize("text, same", [
+    ("(A + 1) + 2", "A + 1 + 2"),
+    ("(A - 1) + 2 - B", "A - 1 + 2 - B"),
+    ("((A) and (B)) and (A)", "A and B and A"),
+    ("((A or B) or A) or (B)", "A or B or A or B"),
+])
+def test_a_run_has_one_tree(text, same):
+    assert _guard(text) == _guard(same)
+    assert to_text(_guard(text)) == to_text(_guard(same))
+
+
+def test_a_parenthesised_operand_after_the_first_stays_apart():
+    nested = _guard("A + (1 + 2)")
+    assert nested == chain(PathRef("A"), [("+", chain(Lit(1), [
+        ("+", Lit(2))]))])
+    assert nested != _guard("A + 1 + 2")
+    assert to_text(nested) == "A + (1 + 2)"
+    assert _guard("A and (B and A)") != _guard("A and B and A")
+    assert to_text(_guard("A + 1 + 2")) == "A + 1 + 2"
+    assert _guard("A + 1 + 2") == Chain(PathRef("A"), (("+", Lit(1)),
+                                                        ("+", Lit(2))))
+
+
+def test_chain_extends_only_the_same_run():
+    a, b, c = PathRef("A"), PathRef("B"), PathRef("C")
+    plus = chain(a, [("+", b)])
+    assert chain(plus, [("-", c)]) == Chain(a, (("+", b), ("-", c)))
+    assert chain(plus, [("and", c)]) == Chain(plus, (("and", c),))
+    either = chain(a, [("or", b)])
+    assert chain(either, [("and", c)]) == Chain(either, (("and", c),))
+    assert chain(either, []) is either
+
+
+_ALL_NAMES = ["A", "B.c"]
+_LITERALS = st.one_of(
+    st.integers(-10 ** 12, 10 ** 12), st.booleans(), st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _runs(inner, ops):
+    return st.builds(chain, inner, st.lists(
+        st.tuples(ops, inner), min_size=1, max_size=3))
+
+
+#: Expressions as the parser builds them: every run through `chain`.
+_CANONICAL = st.recursive(
+    st.one_of(st.builds(Lit, _LITERALS),
+              st.builds(PathRef, st.sampled_from(_ALL_NAMES))),
+    lambda inner: st.one_of(
+        st.builds(Unary, st.just("not"), inner),
+        st.builds(Binary, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+                  inner, inner),
+        _runs(inner, st.sampled_from(["+", "-"])),
+        _runs(inner, st.just("and")),
+        _runs(inner, st.just("or"))),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANONICAL)
+def test_parse_of_to_text_is_the_same_expression(expr):
+    parsed = _guard(to_text(expr))
+    assert parsed == expr and hash(parsed) == hash(expr)
+    assert to_text(parsed) == to_text(expr)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
 from tmkit.events import BehaviorEdge, build_behavior, eventize
-from tmkit.expr import Binary, Lit, PathRef, Unary
+from tmkit.expr import Binary, Lit, PathRef, Unary, chain
 from tmkit.model import (VALUE_TYPES, ActionKind, StaticModel, canonicalize,
                          validate_static)
 from tmkit.uml import (AttributeDef, ClassDef, ClassModel, MethodDef,
@@ -188,13 +188,17 @@ _literal = st.one_of(
 
 
 def _exprs(paths):
-    """Guards and other expressions over the given store paths."""
+    """Guards and other expressions over the given store paths, each run
+    of `and`, `or` or `+`/`-` built by `chain` as the parser builds it."""
     leaf = st.one_of(st.builds(Lit, _literal),
                      st.builds(PathRef, st.sampled_from(paths)))
-    ops = st.sampled_from(["and", "or", "<", "<=", "=", "!=", ">=", ">",
-                           "+", "-"])
+    comparisons = st.sampled_from(["<", "<=", "=", "!=", ">=", ">"])
+    runs = st.sampled_from([["and"], ["or"], ["+", "-"]])
     return st.recursive(leaf, lambda inner: st.one_of(
-        st.builds(Binary, ops, inner, inner),
+        st.builds(Binary, comparisons, inner, inner),
+        runs.flatmap(lambda ops: st.builds(chain, inner, st.lists(
+            st.tuples(st.sampled_from(ops), inner), min_size=1,
+            max_size=3))),
         st.builds(Unary, st.just("not"), inner)), max_leaves=8)
 
 
