@@ -20,7 +20,7 @@ class RenderOptions:
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def emit_dot(obj, opts: RenderOptions = RenderOptions()) -> str:
@@ -44,7 +44,8 @@ def _emit_static(static: md.StaticModel, opts: RenderOptions) -> str:
                          f"[label={_quote(kind.word)}];")
         if opts.show_stores and thimac.store is not None:
             value = thimac.store.value
-            label = "store" if value is None else f"store = {value!r}"
+            label = ("store" if value is None
+                     else f"store = {ex._lit_text(value)}")
             lines.append(f"{indent}  {_quote(path + '.store')} "
                          f"[shape=cylinder, label={_quote(label)}];")
         for sub in thimac.subthimacs:

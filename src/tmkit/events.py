@@ -4,13 +4,16 @@ An event region is a subdiagram of the static model; the behavioral model
 is a directed graph over regions whose edges mean precedence of first
 firing, optionally guarded by store predicates.
 
-Cost. `covered_edges` indexes the flows and triggers each event covers
-in one pass over the covers and one over the static flows and triggers.
-`check_behavior` builds that index once and tests each region on its
-own edges, then walks the behavior graph for cycles and reachability.
-It costs O(actions + flows + triggers + events + edges) once, an action
-or a static edge counting once per event that covers it; nothing
-rescans the model per event.
+Cost. A `BehavioralModel` builds its graph indexes, `incoming` and
+`successors`, in one pass over its edges on first use; entry and
+terminal events, the cycle and reachability walks and the simulator all
+read them. `covered_edges` indexes the flows and triggers each event
+covers, and the events those triggers reach, in one pass over the covers
+and one over the static flows and triggers. `check_behavior` builds that
+index once and tests each region on its own edges. It costs
+O(actions + flows + triggers + events + edges) once, an action or a
+static edge counting once per event that covers it and a trigger once
+more per event covering its target; nothing rescans the model per event.
 """
 
 from __future__ import annotations
@@ -60,16 +63,32 @@ class BehavioralModel:
         # reversed, so that a repeated id maps to its first event
         return {event.id: event for event in reversed(self.events)}
 
+    @functools.cached_property
+    def incoming(self) -> dict[str, list[BehaviorEdge]]:
+        """Event id -> its incoming edges in declaration order; an entry
+        event is absent."""
+        incoming: dict[str, list[BehaviorEdge]] = {}
+        for edge in self.edges:
+            incoming.setdefault(edge.dst, []).append(edge)
+        return incoming
+
+    @functools.cached_property
+    def successors(self) -> dict[str, list[str]]:
+        """Event id -> the targets of its outgoing edges in declaration
+        order; a sink event is absent."""
+        successors: dict[str, list[str]] = {}
+        for edge in self.edges:
+            successors.setdefault(edge.src, []).append(edge.dst)
+        return successors
+
     def entry_events(self) -> list[str]:
         """Events with no incoming edges, in declaration order."""
-        targets = {e.dst for e in self.edges}
-        return [e.id for e in self.events if e.id not in targets]
+        return [e.id for e in self.events if e.id not in self.incoming]
 
     def terminal_events(self) -> frozenset[str]:
         """Declared terminals, defaulting to the sink events."""
-        sources = {e.src for e in self.edges}
         return self.terminals or frozenset(
-            e.id for e in self.events if e.id not in sources)
+            e.id for e in self.events if e.id not in self.successors)
 
 
 def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
@@ -85,32 +104,30 @@ def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
     return EventRegion(event_id, label, frozenset(paths), input_path)
 
 
-def covering_events(events) -> dict[str, set[str]]:
-    """Action id -> ids of the events that cover it."""
+def covered_edges(model: StaticModel, events) \
+        -> dict[str, tuple[list[FlowEdge], list[TriggerEdge], set[str]]]:
+    """Event id -> (covered flows, covered triggers, reached events).
+
+    An edge is covered by an event when the event covers both its ends;
+    the flows and triggers are in static order. A covered trigger reaches
+    every event that covers its target. One pass over the covers and one
+    over the flows and triggers build the whole index.
+    """
     covering: dict[str, set[str]] = {}
     for event in events:
         for aid in event.covers:
             covering.setdefault(aid, set()).add(event.id)
-    return covering
-
-
-def covered_edges(model: StaticModel, events, covering=None) \
-        -> dict[str, tuple[list[FlowEdge], list[TriggerEdge]]]:
-    """Event id -> (covered flows, covered triggers), each in static order.
-
-    An edge is covered by an event when the event covers both its ends.
-    One pass over the covers and one over the flows and triggers build
-    the whole index; a caller that already holds `covering_events(events)`
-    passes it as `covering`, and that pass is skipped.
-    """
-    if covering is None:
-        covering = covering_events(events)
-    index = {event.id: ([], []) for event in events}
-    for side, edges in ((0, model.flows), (1, model.triggers)):
-        for edge in edges:
-            for eid in (covering.get(edge.src, _NONE)
-                        & covering.get(edge.dst, _NONE)):
-                index[eid][side].append(edge)
+    index = {event.id: ([], [], set()) for event in events}
+    for edge in model.flows:
+        for eid in (covering.get(edge.src, _NONE)
+                    & covering.get(edge.dst, _NONE)):
+            index[eid][0].append(edge)
+    for edge in model.triggers:
+        reached = covering.get(edge.dst, _NONE)
+        for eid in covering.get(edge.src, _NONE) & reached:
+            _, triggers, reach = index[eid]
+            triggers.append(edge)
+            reach |= reached
     return index
 
 
@@ -166,7 +183,7 @@ def check_behavior(behavior: BehavioralModel,
             report.add("ERROR", event.id,
                        f"input path '{event.input_path}' has no store",
                        "InputPathUnstored")
-        flows, triggers = covered[event.id]
+        flows, triggers, _ = covered[event.id]
         if not _is_connected(event.covers, flows + triggers):
             report.add("WARNING", event.id,
                        "covered subgraph is disconnected", "RegionDisconnected")
@@ -179,17 +196,15 @@ def check_behavior(behavior: BehavioralModel,
                            f"guard references storeless path '{path}'",
                            "GuardPathUnstored")
 
-    successors = {}
-    for edge in behavior.edges:
-        successors.setdefault(edge.src, []).append(edge.dst)
-    _check_cycles(behavior, successors, report)
-    _check_reachability(behavior, successors, report)
+    _check_cycles(behavior, report)
+    _check_reachability(behavior, report)
     return report
 
 
-def _check_cycles(behavior, successors, report):
+def _check_cycles(behavior, report):
     """Depth-first search from each event in declaration order; an edge
     back to a node still on the stack closes a cycle."""
+    successors = behavior.successors
     color = {}
     for event in behavior.events:
         if event.id in color:
@@ -212,7 +227,8 @@ def _check_cycles(behavior, successors, report):
                 stack.pop()
 
 
-def _check_reachability(behavior, successors, report):
+def _check_reachability(behavior, report):
+    successors = behavior.successors
     reached = set(behavior.entry_events())
     stack = list(reached)
     while stack:

@@ -10,21 +10,24 @@ it last fired, and when either
 
 An event that is enabled through an edge but has no input payload raises
 MissingInput; an entry event without its payload simply never starts.
+A payload for an unknown event, or for one without an input path, is
+rejected before the first step.
 Among the enabled events the lexicographically smallest id fires, and
 its covered actions execute in flow-topological order. Create is the
 only operation that mints a thing-token; every other action moves the
 tokens of its covered flow predecessors to itself, and a Process action
 may rewrite a store by its update rule.
 
-Cost. A run first builds a `_Plan` in one pass over the events' covers,
-the static flows and triggers and the behavior edges; an event's firing
-steps are built on its first firing and reused. The run then keeps a
-candidate set: at the start it holds the entry events, and after an
-event fires only its behavior successors and the events its triggers
-reach can join. A run therefore costs O(model) once, plus per step the
-size of the firing region and O(C log C) for the C candidates, which
-are sorted and tested in id order; nothing rescans the whole model per
-step.
+Cost. A run reads the behavior graph's `incoming` and `successors`
+indexes and builds one `events.covered_edges` index, which also gives
+the events each event's triggers reach; an event's firing steps are
+built on its first firing and reused. The run then keeps a candidate
+set of eligible events: at the start it holds the entry events, and
+after an event fires only its behavior successors and the fired events
+its triggers reach can join. A run therefore costs O(model) once, plus
+per step the size of the firing region and O(C log C) for the C
+candidates, which are sorted and tested in id order; nothing rescans
+the whole model per step.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ import math
 from . import expr as ex
 from . import model as md
 from ._record import record
-from .errors import FillPathUnstored, MissingInput, TypeMismatch
-from .events import (BehavioralModel, EventRegion, covered_edges,
-                     covering_events)
+from .errors import FillPathUnstored, MissingInput, SimError, TypeMismatch
+from .events import BehavioralModel, EventRegion, covered_edges
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -76,15 +78,11 @@ class Trace:
 
 def init_world(static: md.StaticModel, fills=None) -> WorldState:
     """Two-stage instantiation: empty template first, then fill values."""
-    stores = {}
-    types = {}
-    for path, thimac in static.iter_thimacs():
-        if thimac.store is None:
-            continue
-        stores[path] = ex.UNSET
-        declared = thimac.store.value
-        types[path] = None if declared is None else md.value_type_of(declared)
-    world = WorldState(stores, types, {})
+    declared = static.store_paths()
+    world = WorldState(
+        dict.fromkeys(declared, ex.UNSET),
+        {path: None if store.value is None else md.value_type_of(store.value)
+         for path, store in declared.items()}, {})
     for path, value in (fills or {}).items():
         _write_store(world, path, value)
     return world
@@ -111,53 +109,6 @@ def _write_store(world: WorldState, path: str, value):
     return old
 
 
-class _Plan:
-    """What the run loop needs from one (static, behavior) pair.
-
-    Everything but the firing steps comes from the covered-edge index of
-    `events.covered_edges` and one pass over the behavior edges; `steps`
-    builds an event's firing steps on its first firing and caches them.
-    """
-
-    def __init__(self, static: md.StaticModel, behavior: BehavioralModel):
-        self.actions = static.actions
-        self.repeatable = behavior.repeatable
-        self.event = behavior.event
-        covering = covering_events(behavior.events)
-        #: event id -> (its covered flows, its covered triggers)
-        self.covered = covered_edges(static, behavior.events, covering)
-        #: event id -> events covering the target of a covered trigger
-        self.reach: dict[str, set[str]] = {
-            eid: set().union(*(covering[edge.dst] for edge in triggers))
-            for eid, (_, triggers) in self.covered.items() if triggers}
-        self.incoming: dict[str, list] = {}
-        self.successors: dict[str, list[str]] = {}
-        for edge in behavior.edges:
-            self.incoming.setdefault(edge.dst, []).append(edge)
-            self.successors.setdefault(edge.src, []).append(edge.dst)
-        self.entries = [event.id for event in behavior.events
-                        if event.id not in self.incoming]
-        self._steps: dict[str, tuple] = {}
-
-    def steps(self, event: EventRegion):
-        """(actions in firing order, firing steps) of one event; a step is
-        (action id, is a Create, sorted flow predecessors, update rule)."""
-        cached = self._steps.get(event.id)
-        if cached is None:
-            flows = self.covered[event.id][0]
-            preds: dict[str, list[str]] = {}
-            for edge in flows:
-                preds.setdefault(edge.dst, []).append(edge.src)
-            order = tuple(_topo_order(event.covers, flows))
-            actions = self.actions
-            steps = tuple(
-                (aid, actions[aid].kind is md.ActionKind.CREATE,
-                 tuple(sorted(preds.get(aid, ()))), actions[aid].update)
-                for aid in order)
-            cached = self._steps[event.id] = (order, steps)
-        return cached
-
-
 def simulate(static: md.StaticModel, behavior: BehavioralModel,
              world: WorldState, inputs=None,
              max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
@@ -165,15 +116,22 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     inputs = inputs or {}
-    plan = _Plan(static, behavior)
+    for eid in inputs:
+        if behavior.event(eid).input_path is None:
+            raise SimError(f"event '{eid}' declares no input")
+    covered = covered_edges(static, behavior.events)
+    successors, repeatable = behavior.successors, behavior.repeatable
+    steps: dict[str, tuple] = {}
     fired: set[str] = set()
+    #: repeatable events a trigger has reached since they last fired
     triggered: set[str] = set()
-    candidates = set(plan.entries)
+    #: eligible events (unfired, or in `triggered`) that a predecessor or
+    #: a trigger may have enabled; an event leaves only by firing
+    candidates = set(behavior.entry_events())
     entries: list[TraceEntry] = []
 
     while True:
-        event = _next_enabled(plan, candidates, fired, triggered, inputs,
-                              world)
+        event = _next_enabled(behavior, candidates, fired, inputs, world)
         if event is None:
             terminals = behavior.terminal_events()
             outcome = "Completed" if fired & terminals else "Stuck"
@@ -181,37 +139,42 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
         if len(entries) >= max_steps:
             outcome = "StepBudgetExhausted"
             break
-        entries.append(_fire(plan, event, len(entries) + 1, world, inputs,
-                             triggered))
-        fired.add(event.id)
-        triggered.discard(event.id)
-        _update_candidates(plan, event.id, candidates, fired, triggered)
+        eid = event.id
+        flows, _, reach = covered[eid]
+        if eid not in steps:
+            steps[eid] = _steps(static.actions, event, flows)
+        entries.append(_fire(event, steps[eid], len(entries) + 1, world,
+                             inputs))
+        fired.add(eid)
+        triggered |= reach & repeatable
+        triggered.discard(eid)
+        candidates.discard(eid)
+        candidates.update(nxt for nxt in successors.get(eid, ())
+                          if nxt not in fired or nxt in triggered)
+        # an unfired event that a trigger reaches joined the candidates
+        # at the start, as an entry, or when a predecessor fired
+        candidates |= reach & triggered & fired
     return Trace(tuple(entries), outcome)
 
 
-def _update_candidates(plan, eid, candidates, fired, triggered):
-    """After `eid` fires, only it, its successors and the events its
-    triggers reach can change whether they pass `_next_enabled`."""
-    candidates.discard(eid)
-    repeatable = plan.repeatable
-    for nxt in plan.successors.get(eid, ()):
-        if nxt not in fired or (nxt in repeatable and nxt in triggered):
-            candidates.add(nxt)
-    for other in plan.reach.get(eid, ()):
-        if (other in fired and other in repeatable and other in triggered
-                and (other not in plan.incoming
-                     or any(edge.src in fired
-                            for edge in plan.incoming[other]))):
-            candidates.add(other)
+def _steps(actions, event: EventRegion, flows):
+    """(actions in firing order, firing steps) of one event; a step is
+    (action id, is a Create, sorted flow predecessors, update rule)."""
+    preds: dict[str, list[str]] = {}
+    for edge in flows:
+        preds.setdefault(edge.dst, []).append(edge.src)
+    order = tuple(_topo_order(event.covers, flows))
+    return order, tuple(
+        (aid, actions[aid].kind is md.ActionKind.CREATE,
+         tuple(sorted(preds.get(aid, ()))), actions[aid].update)
+        for aid in order)
 
 
-def _next_enabled(plan, candidates, fired, triggered, inputs, world):
+def _next_enabled(behavior, candidates, fired, inputs, world):
+    incoming = behavior.incoming
     for eid in sorted(candidates):
-        if eid in fired and (eid not in plan.repeatable
-                             or eid not in triggered):
-            continue
-        event = plan.event(eid)
-        edges = plan.incoming.get(eid)
+        event = behavior.event(eid)
+        edges = incoming.get(eid)
         if edges:
             satisfied = any(
                 edge.src in fired and (
@@ -228,15 +191,15 @@ def _next_enabled(plan, candidates, fired, triggered, inputs, world):
     return None
 
 
-def _fire(plan, event: EventRegion, step: int, world: WorldState, inputs,
-          triggered) -> TraceEntry:
+def _fire(event: EventRegion, plan, step: int, world: WorldState,
+          inputs) -> TraceEntry:
     deltas: list[StoreDelta] = []
     if event.input_path is not None:
         old = _write_store(world, event.input_path, inputs[event.id])
         deltas.append(StoreDelta(event.input_path, old,
                                  world.stores[event.input_path]))
 
-    order, steps = plan.steps(event)
+    order, steps = plan
     tokens = world.tokens
     for aid, create, preds, update in steps:
         if create:
@@ -250,8 +213,6 @@ def _fire(plan, event: EventRegion, step: int, world: WorldState, inputs,
             value = ex.evaluate(rule, world.stores)
             old = _write_store(world, target, value)
             deltas.append(StoreDelta(target, old, value))
-
-    triggered.update(plan.reach.get(event.id, ()))
     return TraceEntry(step, event.id, order, tuple(deltas))
 
 

@@ -533,6 +533,16 @@ def test_simulate_rejects_a_value_without_its_separator(capsys, bank_path,
         2, "", f"error: bad {flag} value {raw!r}\n")
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("E2:order", "event 'E2' declares no input"),
+    ("E99:5", "unknown event 'E99'"),
+])
+def test_simulate_rejects_an_input_no_event_takes(capsys, beef_path, raw,
+                                                  message):
+    assert run(capsys, "simulate", beef_path, "--input", "E1:order",
+               "--input", raw) == (1, "", f"error: {message}\n")
+
+
 def test_simulate_deterministic(capsys, bank_path):
     argv = ["simulate", bank_path,
             "--world", "BankAccount=savings",

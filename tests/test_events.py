@@ -9,7 +9,7 @@ from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
 
 def region_edges(model, region):
     """Static flows and triggers with both endpoints covered."""
-    return covered_edges(model, [region])[region.id]
+    return covered_edges(model, [region])[region.id][:2]
 
 
 def test_eventize_beef_fetch_region(beef):
@@ -193,5 +193,8 @@ def test_covered_edges_is_the_per_event_filter(case):
             [e for e in static.flows if e.src in covers and e.dst in covers],
             [e for e in static.triggers
              if e.src in covers and e.dst in covers])
-        assert index[event.id] == expected
+        assert index[event.id][:2] == expected
         assert region_edges(static, event) == expected
+        assert index[event.id][2] == {
+            other.id for trigger in expected[1] for other in events
+            if trigger.dst in other.covers}

@@ -71,3 +71,35 @@ def test_show_stores_adds_cylinders(beef):
 def test_rankdir_option(beef):
     static, _, _ = beef
     assert "rankdir=TB" in emit_dot(static, RenderOptions(rankdir="TB"))
+
+
+_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_labels_with_backslashes_and_quotes_stay_quoted():
+    _, _, behavior = dsl.parse(
+        "thimac A { create; }\n"
+        'event E1 "ends in \\\\" covers { A.create };\n'
+        'event E2 "say \\"hi\\" \\\\ twice" covers { A.create };\n'
+        "behavior { E1 -> E2; }\n")
+    text = emit_dot(behavior, RenderOptions(target="behavior"))
+    labels = [line.partition("[label=")[2] for line in text.splitlines()
+              if "[label=" in line]
+    assert labels == ['"E1: ends in \\\\"];',
+                      '"E2: say \\"hi\\" \\\\ twice"];']
+    for label in labels:
+        # the quoted string is well formed and ends where the label ends
+        assert _QUOTED.match(label).end() == len(label) - len("];")
+
+
+def test_store_labels_print_the_tm_literal():
+    static, _, _ = dsl.parse(
+        "thimac N { store = 1; } thimac F { store = 0.00001; }\n"
+        'thimac T { store = "x \\"y\\""; } thimac B { store = true; }\n'
+        "thimac R { store; }\n")
+    text = emit_dot(static, RenderOptions(show_stores=True))
+    labels = re.findall(r"\[shape=cylinder, label=(.*)\];", text)
+    assert labels == ['"store = 1"', '"store = 0.00001"',
+                      '"store = \\"x \\\\\\"y\\\\\\"\\""',
+                      '"store = true"', '"store"']
+    assert all(_QUOTED.fullmatch(label) for label in labels)

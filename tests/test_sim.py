@@ -3,10 +3,9 @@ from pathlib import Path
 
 import pytest
 
-import tmkit.events
 from tmkit import dsl, errors, sim
 from tmkit import expr as ex
-from tmkit.events import covering_events
+from tmkit.events import covered_edges
 from tmkit.expr import UNSET, Binary, Lit, PathRef
 from tmkit.model import ActionKind
 
@@ -203,6 +202,18 @@ def test_triggered_repeatable_events_fire_again():
     assert world.stores["C"] == 3
 
 
+def test_a_trigger_does_not_refire_an_event_that_is_not_repeatable():
+    # B's trigger reaches A and A's reaches B, but only A fires again
+    source = (LOOP.replace("repeatable A, B;", "repeatable A;")
+              .replace("C < 3", "C < 10").replace("C >= 3", "C >= 10"))
+    static, _, behavior = dsl.parse(source)
+    world = sim.init_world(static, {"C": 0})
+    trace = sim.simulate(static, behavior, world)
+    assert trace.fired_events() == ["S", "A", "B", "A"]
+    assert trace.outcome == "Completed"
+    assert world.stores["C"] == 3
+
+
 def test_tokens_move_along_covered_flows_only():
     static, _, behavior = dsl.parse(
         "thimac T { create; process; release; }\n"
@@ -237,13 +248,12 @@ def test_plan_builds_the_covering_map_once(monkeypatch, beef):
     static, _, behavior = beef
     calls = []
 
-    def counted(events):
+    def counted(model, events):
         calls.append(len(events))
-        return covering_events(events)
+        return covered_edges(model, events)
 
-    monkeypatch.setattr(sim, "covering_events", counted)
-    monkeypatch.setattr(tmkit.events, "covering_events", counted)
-    sim.simulate(static, behavior, sim.init_world(static))
+    monkeypatch.setattr(sim, "covered_edges", counted)
+    sim.simulate(static, behavior, sim.init_world(static), {"E1": "order"})
     assert calls == [len(behavior.events)]
 
 
