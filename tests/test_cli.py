@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -571,6 +572,46 @@ def test_dot_behavior(capsys, bank_path):
 
 def test_usage_error(capsys):
     assert cli.main(["bogus-command"]) == 2
+
+
+# -- the argument grammar --
+
+_HELP = "usage: tm"
+_TM_OR_CHECK = r"tm(?: check)?: error: "
+
+
+@pytest.mark.parametrize("argv, code, out, error", [
+    ([], 2, "", "tm: error: the following arguments are required: command"),
+    (["--help"], 0, _HELP, None),
+    (["simulate", "-h"], 0, _HELP, None),
+    (["check"], 2, "",
+     "tm check: error: the following arguments are required: file"),
+    (["check", "F", "F"], 2, "", _TM_OR_CHECK + ".*"),
+    (["check", "F", "--bogus"], 2, "", _TM_OR_CHECK + ".*--bogus"),
+    (["bogus-command"], 2, "",
+     r"tm: error: argument command: invalid choice: 'bogus-command' "
+     r"\(choose from .*\)"),
+    (["dot", "F", "--target=behavior"], 0, "digraph behavior {", None),
+    (["dot", "F", "--show"], 0, "digraph tm {", None),
+    (["dot", "F", "--rankdir", "XX"], 2, "",
+     r"tm dot: error: argument --rankdir: invalid choice: 'XX' "
+     r"\(choose from .*\)"),
+    (["simulate", "F", "--world"], 2, "",
+     "tm simulate: error: argument --world: expected one argument"),
+    (["check", "--", "F"], 0, "", None),
+], ids=["no-command", "help", "command-help", "no-file", "two-files",
+        "unknown-option", "unknown-command", "option-equals-value",
+        "option-prefix", "invalid-choice", "missing-value", "end-of-options"])
+def test_argument_grammar(capsys, beef_path, argv, code, out, error):
+    argv = [beef_path if arg == "F" else arg for arg in argv]
+    got, printed, err = run(capsys, *argv)
+    assert got == code
+    assert printed.startswith(out) and bool(printed) == bool(out)
+    if error is None:
+        assert err == ""
+    else:
+        assert err.startswith("usage: tm")
+        assert re.fullmatch(error, err.splitlines()[-1])
 
 
 def test_every_public_name_resolves():
