@@ -7,8 +7,8 @@ stdout unless --out is given.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import dsl
 from .errors import TmError, UmlError
@@ -16,21 +16,33 @@ from .model import validate_static
 from .events import check_behavior
 
 OK, SEMANTIC, USAGE, INTERNAL = 0, 1, 2, 3
+_HELP = ("-h", "--help")
+
+
+class Usage(Exception):
+    """Args: the command (None for `tm`) and its error, None for help."""
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
+        run, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except Usage as exc:
+        command, message = exc.args
+        if message is None:
+            sys.stdout.write(_help(command))
+            return OK
+        prog = "tm" if command is None else f"tm {command}"
+        print(_help(command).partition("\n")[0],
+              f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        return USAGE
     try:
-        return args.func(args)
+        return run(args)
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
-    except OSError as exc:  # a missing, unreadable or unwritable file
-        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a file we cannot open, or a closed stdout
+        what = f"open {exc.filename}" if exc.filename else "write output"
+        print(f"cannot {what}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except UnicodeDecodeError as exc:
         print(f"cannot read {args.file}: not UTF-8 text "
@@ -44,59 +56,109 @@ def main(argv=None) -> int:
         return INTERNAL
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tm", description="Thinging-machine modeling toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """Scan `argv` once; return the handler of its command and a namespace
+    of the `file` and the options, each at its default unless given.
+    Raise `Usage` for `-h`/`--help` and for a malformed command line."""
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        if name and _match(None, name, _HELP):
+            raise Usage(None, None)
+        raise Usage(None, f"argument command: invalid choice: {name!r} "
+                    f"(choose from {_choices(_COMMANDS)})" if name
+                    else "the following arguments are required: command")
+    run, _, options = _COMMANDS[name]
+    names = (*_HELP, *options)
+    args = {opt[2:].replace("-", "_"): kind[0] if isinstance(kind, tuple)
+            else None if kind in (str, int) else kind()
+            for opt, (kind, _, _) in options.items()}
+    files, items = [], iter(argv[1:])
+    for item in items:
+        if item == "--":
+            files += items
+            continue
+        if not _is_option(item):
+            files.append(item)
+            continue
+        opt, given, value = item.partition("=")
+        opt = _match(name, opt, names)
+        if opt is None:
+            raise Usage(name, f"unrecognized arguments: {item}")
+        if opt in _HELP:
+            raise Usage(name, None)
+        kind = options[opt][0]
+        if kind is bool:
+            if given:
+                raise Usage(name, f"argument {opt}: ignored explicit "
+                            f"argument {value!r}")
+            value = True
+        elif not given:
+            value = next(items, None)
+            if value is None or _is_option(value):
+                raise Usage(name, f"argument {opt}: expected one argument")
+        if isinstance(kind, tuple) and value not in kind:
+            raise Usage(name, f"argument {opt}: invalid choice: {value!r} "
+                        f"(choose from {_choices(kind)})")
+        if kind is int and _int(value) < 1:
+            raise Usage(name, f"argument {opt}: expected an integer of at "
+                        f"least 1, got {value!r}")
+        key = opt[2:].replace("-", "_")
+        if kind is list:
+            args[key].append(value)
+        else:
+            args[key] = _int(value) if kind is int else value
+    if len(files) != 1:
+        raise Usage(name, "unrecognized arguments: " + " ".join(files[1:])
+                    if files else "the following arguments are required: "
+                    "file")
+    return run, SimpleNamespace(file=files[0], **args)
 
-    p = sub.add_parser("check", help="validate a .tm file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fmt", help="print the canonical form of a .tm file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_fmt)
-
-    p = sub.add_parser("to-class", help="convert a .tm file to class JSON")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_to_class)
-
-    p = sub.add_parser("to-tm", help="convert class JSON to a .tm file")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_to_tm)
-
-    p = sub.add_parser("simulate", help="run the behavioral model")
-    p.add_argument("file")
-    p.add_argument("--world", action="append", default=[], metavar="PATH=V",
-                   help="initial store fill, repeatable")
-    p.add_argument("--input", action="append", default=[],
-                   metavar="EVENT:PAYLOAD", help="event payload, repeatable")
-    p.add_argument("--max-steps", type=_positive_int)
-    p.add_argument("--trace-format", choices=("text", "json"),
-                   default="text")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("dot", help="emit DOT graph text")
-    p.add_argument("file")
-    p.add_argument("--target", choices=("static", "behavior"),
-                   default="static")
-    p.add_argument("--rankdir", choices=("LR", "TB"), default="LR")
-    p.add_argument("--show-stores", action="store_true")
-    p.set_defaults(func=cmd_dot)
-    return parser
+def _is_option(item: str) -> bool:
+    """Whether `item` reads as an option, not as `-` or a negative number."""
+    return item[:1] == "-" and item[1:2] not in "0123456789."
 
 
-def _positive_int(raw: str) -> int:
+def _match(command, opt: str, names):
+    """The one of `names` that `opt` is, or that the long option `opt` is
+    a prefix of; None if there is none."""
+    if opt in names:
+        return opt
+    found = [name for name in names
+             if len(opt) > 2 and opt[:2] == "--" and name.startswith(opt)]
+    if len(found) > 1:
+        raise Usage(command, f"ambiguous option: {opt} could match "
+                    f"{', '.join(found)}")
+    return found[0] if found else None
+
+
+def _int(raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {raw!r}")
-    return value
+        return 0
+
+
+def _choices(names) -> str:
+    return ", ".join(map(repr, names))
+
+
+def _help(command) -> str:
+    """The help text of `tm command`, or of `tm` for None; its first line
+    is the usage line."""
+    if command is None:
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+        usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
+    else:
+        rows = [(f"{opt} {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                 else f"{opt} {metavar}" if metavar else opt, text)
+                for opt, (kind, metavar, text) in _COMMANDS[command][2].items()]
+        usage = " ".join([command, "[-h]", *(f"[{left}]" for left, _ in rows),
+                          "file"])
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    return f"usage: tm {usage}\n\n" + "".join(
+        f"  {left:<{width}}  {text}\n" for left, text in rows)
 
 
 def _read(path: str) -> str:
@@ -199,6 +261,31 @@ def cmd_dot(args) -> int:
     else:
         sys.stdout.write(dot.emit_dot(static, opts))
     return OK
+
+
+_OUT = {"--out": (str, "PATH", "write to PATH instead of stdout")}
+
+#: command -> (handler, summary, options); each option maps to (kind,
+#: metavar, help), where the kind is bool (a flag), a tuple of choices
+#: (the first is the default), list (repeatable), str (one value) or int
+#: (a positive integer)
+_COMMANDS = {
+    "check": (cmd_check, "validate a .tm file", {}),
+    "fmt": (cmd_fmt, "print the canonical form of a .tm file", {}),
+    "to-class": (cmd_to_class, "convert a .tm file to class JSON", _OUT),
+    "to-tm": (cmd_to_tm, "convert class JSON to a .tm file", _OUT),
+    "simulate": (cmd_simulate, "run the behavioral model", {
+        "--world": (list, "PATH=V", "initial store fill, repeatable"),
+        "--input": (list, "EVENT:PAYLOAD", "event payload, repeatable"),
+        "--max-steps": (int, "N", "stop after N steps"),
+        "--trace-format": (("text", "json"), None, "trace format"),
+    }),
+    "dot": (cmd_dot, "emit DOT graph text", {
+        "--target": (("static", "behavior"), None, "model to draw"),
+        "--rankdir": (("LR", "TB"), None, "graph direction"),
+        "--show-stores": (bool, None, "draw the stores"),
+    }),
+}
 
 
 if __name__ == "__main__":

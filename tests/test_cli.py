@@ -1,8 +1,10 @@
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -614,6 +616,36 @@ def test_argument_grammar(capsys, beef_path, argv, code, out, error):
         assert re.fullmatch(error, err.splitlines()[-1])
 
 
+def test_an_ambiguous_option_prefix_is_a_usage_error():
+    with pytest.raises(cli.Usage) as info:
+        cli._match("dot", "--t", ("--target", "--trace"))
+    assert info.value.args == (
+        "dot", "ambiguous option: --t could match --target, --trace")
+
+
+def test_argument_scanning_is_linear_in_the_flags():
+    values = [f"S{i}={i}" for i in range(50_000)]
+    argv = ["simulate", "x.tm"]
+    for value in values:
+        argv += ["--world", value]
+    start = time.perf_counter()
+    run, args = cli.parse_args(argv)
+    assert time.perf_counter() - start < 1
+    assert (run, args.file, args.world) == (cli.cmd_simulate, "x.tm", values)
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_closed_stdout_is_named_as_such(capsys, monkeypatch, beef_path):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["fmt", beef_path])
+    assert (code, capsys.readouterr().err) == (
+        2, f"cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+
 def test_every_public_name_resolves():
     assert [name for name in tmkit.__all__ if not hasattr(tmkit, name)] == []
 
@@ -625,4 +657,4 @@ def test_importing_the_cli_loads_only_what_check_runs():
     assert {"tmkit.cli", "tmkit.dsl"} <= loaded
     assert loaded.isdisjoint({"tmkit.sim", "tmkit.uml", "tmkit.dot",
                               "dataclasses", "inspect", "logging", "json",
-                              "typing"})
+                              "typing", "argparse", "gettext", "locale"})
