@@ -20,7 +20,8 @@ _HELP = ("-h", "--help")
 
 
 class Usage(Exception):
-    """Args: the command (None for `tm`) and its error, None for help."""
+    """A command line that runs no command. Its args are the command,
+    None for `tm` itself, and what is wrong, None for a help request."""
 
 
 def main(argv=None) -> int:
@@ -41,7 +42,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
     except OSError as exc:  # a file we cannot open, or a closed stdout
-        what = f"open {exc.filename}" if exc.filename else "write output"
+        what = ("write output" if exc.filename is None
+                else f"open {exc.filename}")
         print(f"cannot {what}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except UnicodeDecodeError as exc:
@@ -62,10 +64,10 @@ def parse_args(argv):
     Raise `Usage` for `-h`/`--help` and for a malformed command line."""
     name = argv[0] if argv else None
     if name not in _COMMANDS:
-        if name and _match(None, name, _HELP):
+        if argv and _match(None, name, _HELP):
             raise Usage(None, None)
         raise Usage(None, f"argument command: invalid choice: {name!r} "
-                    f"(choose from {_choices(_COMMANDS)})" if name
+                    f"(choose from {_choices(_COMMANDS)})" if argv
                     else "the following arguments are required: command")
     run, _, options = _COMMANDS[name]
     names = (*_HELP, *options)
@@ -150,11 +152,12 @@ def _help(command) -> str:
         rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
         usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
     else:
+        options = _COMMANDS[command][2]
         rows = [(f"{opt} {{{','.join(kind)}}}" if isinstance(kind, tuple)
                  else f"{opt} {metavar}" if metavar else opt, text)
-                for opt, (kind, metavar, text) in _COMMANDS[command][2].items()]
-        usage = " ".join([command, "[-h]", *(f"[{left}]" for left, _ in rows),
-                          "file"])
+                for opt, (kind, metavar, text) in options.items()]
+        usage = " ".join([command, "[-h]",
+                          *(f"[{left}]" for left, _ in rows), "file"])
     rows.insert(0, ("-h, --help", "show this help and exit"))
     width = max(len(left) for left, _ in rows)
     return f"usage: tm {usage}\n\n" + "".join(

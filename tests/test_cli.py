@@ -231,6 +231,11 @@ def test_check_directory_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_an_empty_file_name_is_named_as_such(capsys):
+    assert run(capsys, "check", "") == (
+        2, "", f"cannot open : {os.strerror(errno.ENOENT)}\n")
+
+
 def test_check_non_utf8_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "bytes.tm"
     path.write_bytes(b"\xff\xfe")
