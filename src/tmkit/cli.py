@@ -228,8 +228,7 @@ def cmd_simulate(args) -> int:
     from . import sim
     static, events, behavior = _parse(args.file)
     if behavior is None:
-        print("error: file declares no behavioral model", file=sys.stderr)
-        return SEMANTIC
+        raise TmError("file declares no behavioral model")
     fills, inputs = {}, {}
     for flag, sep, table in (("world", "=", fills), ("input", ":", inputs)):
         for raw in getattr(args, flag):
@@ -257,9 +256,7 @@ def cmd_dot(args) -> int:
     opts = dot.RenderOptions(args.target, args.show_stores, args.rankdir)
     if args.target == "behavior":
         if behavior is None:
-            print("error: file declares no behavioral model",
-                  file=sys.stderr)
-            return SEMANTIC
+            raise TmError("file declares no behavioral model")
         sys.stdout.write(dot.emit_dot(behavior, opts))
     else:
         sys.stdout.write(dot.emit_dot(static, opts))

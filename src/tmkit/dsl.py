@@ -129,10 +129,10 @@ def _tokenize(src: SourceUnit) -> list[tuple]:
     text = src.text
     lexemes = _LEXEME_RE.findall(text, _SKIP_RE.match(text).end())
     kinds = {lexeme: _classify(lexeme) for lexeme in set(lexemes)}
-    errors = [lexeme for lexeme, (type_, _) in kinds.items()
-              if type_ == "ERROR"]
+    errors = {lexeme for lexeme, (type_, _) in kinds.items()
+              if type_ == "ERROR"}
     if errors:
-        first = min(map(lexemes.index, errors))
+        first = lexemes.index(next(filter(errors.__contains__, lexemes)))
         raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
     return list(map(kinds.__getitem__, lexemes))
 

@@ -14,6 +14,10 @@ thimacs give the same class name. `class_to_tm` checks the whole
 invariant, once: one pass finds duplicate names and unknown parents,
 and the classes its walk from the roots does not reach lie on a cycle
 or lead into one. Both are linear in the number of classes.
+
+Size. A scaffold names each flow's ends by full path, so its text is
+O(classes × depth of the hierarchy); `dsl.MAX_THIMAC_DEPTH` caps that
+at 981 times the linear size.
 """
 
 from __future__ import annotations

@@ -577,6 +577,16 @@ def test_dot_behavior(capsys, bank_path):
     assert '"E23"' in out
 
 
+@pytest.mark.parametrize("argv", [["simulate"],
+                                  ["dot", "--target", "behavior"]])
+def test_a_file_without_behavior_is_a_semantic_error(capsys, tmp_path,
+                                                     argv):
+    path = tmp_path / "static.tm"
+    path.write_text("thimac A { create; }\n", encoding="utf-8")
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        1, "", "error: file declares no behavioral model\n")
+
+
 def test_usage_error(capsys):
     assert cli.main(["bogus-command"]) == 2
 

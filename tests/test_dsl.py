@@ -1,4 +1,5 @@
 import decimal
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,6 +238,17 @@ def test_parse_error_positions(text, line, col, message):
         dsl.parse(text)
     assert (exc.value.line, exc.value.column, exc.value.message) == \
         (line, col, message)
+
+
+def test_the_first_lexical_error_is_found_in_linear_time():
+    # one scan for the first bad lexeme, not one per distinct bad lexeme
+    text = ("thimac A {}\n" * 20_000
+            + " ".join(map(chr, range(0x2200, 0x2200 + 2_000))))
+    start = time.perf_counter()
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(text)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "20001:1: unexpected character '∀'"
 
 
 def test_literal_errors_keep_their_messages():

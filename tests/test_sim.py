@@ -1,11 +1,13 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from tmkit import dsl, errors, sim
 from tmkit import expr as ex
-from tmkit.events import covered_edges
+from tmkit import model as md
+from tmkit.events import build_behavior, covered_edges, eventize
 from tmkit.expr import UNSET, Binary, Lit, PathRef
 from tmkit.model import ActionKind
 
@@ -261,6 +263,54 @@ def test_simulate_rejects_a_budget_below_1(bank):
     static, _, behavior = bank
     with pytest.raises(ValueError, match="max_steps must be at least 1"):
         sim.simulate(static, behavior, sim.init_world(static), max_steps=0)
+
+
+def test_a_wide_event_fires_in_time_linear_in_its_actions():
+    owners = [f"T{i:05}" for i in range(30_000)]
+    ids = [md.action_id(owner, ActionKind.CREATE) for owner in owners]
+    static = md.build_model(
+        [md.Thimac(owner, action_ids=(aid,))
+         for owner, aid in zip(owners, ids)],
+        [md.Action(aid, ActionKind.CREATE, owner)
+         for owner, aid in zip(owners, ids)], [], [])
+    behavior = build_behavior([eventize(static, "E", "wide", ids)], [])
+    world = sim.init_world(static)
+    start = time.perf_counter()
+    trace = sim.simulate(static, behavior, world)
+    assert time.perf_counter() - start < 1
+    assert trace.entries[0].actions_fired == tuple(ids)
+    assert world.tokens == dict.fromkeys(ids, 1)
+
+
+def _first_firing(source):
+    static, _, behavior = dsl.parse(source)
+    return sim.simulate(static, behavior, sim.init_world(static),
+                        max_steps=1).entries[0].actions_fired
+
+
+def test_actions_fire_in_the_smallest_topological_order():
+    # a diamond from A.create to C.release, with M.create as an extra
+    # root: B.process becomes ready after A.create and goes before M
+    assert _first_firing(
+        "thimac A { create; } thimac B { process; } thimac C { release; }\n"
+        "thimac M { create; } thimac Y { process; }\n"
+        "flow A.create -> B.process; flow A.create -> Y.process;\n"
+        "flow B.process -> C.release; flow Y.process -> C.release;\n"
+        "event E covers { Y.process, M.create, C.release, B.process,\n"
+        "                 A.create };\n"
+        "behavior { }\n") == (
+        "A.create", "B.process", "M.create", "Y.process", "C.release")
+
+
+def test_actions_whose_flows_close_a_cycle_fire_in_sorted_order():
+    # B.create is ready, but the cycle through A leaves the order to the
+    # fallback, which sorts all the covers
+    assert _first_firing(
+        "thimac A { create; process; } thimac B { create; }\n"
+        "flow A.process -> A.create; flow A.create -> A.process;\n"
+        "flow B.create -> A.process;\n"
+        "event E covers { B.create, A.process, A.create };\n"
+        "behavior { }\n") == ("A.create", "A.process", "B.create")
 
 
 # -- golden traces --
