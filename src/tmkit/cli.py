@@ -181,12 +181,16 @@ def _write_out(text: str, out):
             handle.write(text)
 
 
-def _parse_value(raw: str):
+def _parse_value(flag: str, key: str, raw: str):
+    """The JSON value `raw` holds, or `raw` itself if it is not JSON."""
     import json
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
+    except (ValueError, RecursionError) as exc:  # too long or too deep
+        raise TmError(
+            f"cannot read the --{flag} value of '{key}' ({exc})") from None
 
 
 def cmd_check(args) -> int:
@@ -218,7 +222,7 @@ def cmd_to_tm(args) -> int:
     cm = uml.read_class_json(_read(args.file))
     try:
         text = dsl.print_text(uml.class_to_tm(cm))
-    except RecursionError:
+    except RecursionError:  # called in-process from a deep stack
         raise UmlError("class hierarchy too deep") from None
     _write_out(text, args.out)
     return OK
@@ -236,7 +240,7 @@ def cmd_simulate(args) -> int:
             if not found:
                 print(f"error: bad --{flag} value {raw!r}", file=sys.stderr)
                 return USAGE
-            table[key] = _parse_value(value)
+            table[key] = _parse_value(flag, key, value)
     world = sim.init_world(static, fills)
     trace = sim.simulate(static, behavior, world, inputs,
                          args.max_steps or sim.DEFAULT_MAX_STEPS)

@@ -15,8 +15,8 @@ recurses only into operands, whose depth the parser bounds.
 
 from __future__ import annotations
 
-import math
 import operator
+import sys
 
 from ._record import record
 from .errors import GuardEvalError
@@ -61,6 +61,9 @@ Expr = Lit | PathRef | Unary | Binary | Chain
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 
+#: Every sum stays in the range of a float, even a sum of integers.
+_MAX = sys.float_info.max
+
 #: The run an operator belongs to: `+` and `-` mix, `and` and `or` do not.
 _RUN = {"and": "and", "or": "or", "+": "+", "-": "+"}
 
@@ -95,7 +98,8 @@ def evaluate(expr: Expr, stores: dict) -> Value:
     """Evaluate against a path -> value map.
 
     Raises GuardEvalError for unknown or unset store reads, for operands
-    an operator cannot take and for a sum beyond the largest float.
+    an operator cannot take and for a sum or difference, of floats or of
+    integers, beyond the largest float.
     """
     kind = type(expr)  # faster than isinstance on this hot path
     if kind is Lit:
@@ -126,8 +130,8 @@ def evaluate(expr: Expr, stores: dict) -> Value:
             right = evaluate(operand, stores)
             try:
                 new = value + right if op == "+" else value - right
-                if type(new) is float and not math.isfinite(new):
-                    raise OverflowError
+                if type(new) is not str and not -_MAX <= new <= _MAX:
+                    raise OverflowError  # also NaN
             except (TypeError, OverflowError) as exc:
                 raise GuardEvalError(
                     f"cannot compute {value!r} {op} {right!r}") from exc

@@ -110,17 +110,26 @@ class StaticModel:
     triggers: tuple[TriggerEdge, ...]
 
     def iter_thimacs(self) -> Iterator[tuple[str, Thimac]]:
-        """Yield (dotted path, thimac) in depth-first declaration order."""
-        def walk(prefix, thimacs):
-            for t in thimacs:
-                path = f"{prefix}.{t.name}" if prefix else t.name
-                yield path, t
-                yield from walk(path, t.subthimacs)
-        yield from walk("", self.thimacs)
+        return _walk(self.thimacs)
 
     def store_paths(self) -> dict[str, Store]:
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
+
+
+def _walk(thimacs) -> Iterator[tuple[str, Thimac]]:
+    """Yield (dotted path, thimac) in preorder, with no frame per level."""
+    stack = [("", iter(thimacs))]
+    while stack:
+        prefix, level = stack[-1]
+        for t in level:
+            path = prefix + t.name
+            yield path, t
+            if t.subthimacs:
+                stack.append((path + ".", iter(t.subthimacs)))
+                break
+        else:
+            stack.pop()
 
 
 @record
@@ -160,8 +169,12 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     Stage legality is deliberately not checked here; see validate_static.
     """
     thimacs = tuple(thimacs)
+    # in preorder, the first repeated path is the first duplicate sibling
     paths = set()
-    _check_sibling_names("", thimacs, paths)
+    for path, _ in _walk(thimacs):
+        if path in paths:
+            raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
+        paths.add(path)
 
     table: dict[str, Action] = {}
     for action in actions:
@@ -192,18 +205,6 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     return StaticModel(thimacs, table, tuple(flows), tuple(triggers))
 
 
-def _check_sibling_names(prefix, thimacs, paths):
-    """Add the dotted path of every thimac in the tree to `paths`."""
-    seen = set()
-    for t in thimacs:
-        path = f"{prefix}.{t.name}" if prefix else t.name
-        if t.name in seen:
-            raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
-        seen.add(t.name)
-        paths.add(path)
-        _check_sibling_names(path, t.subthimacs, paths)
-
-
 def _check_endpoints(edge, table):
     for endpoint in (edge.src, edge.dst):
         if endpoint not in table:
@@ -228,9 +229,7 @@ def validate_static(model: StaticModel) -> ValidationReport:
                 f"illegal {scope}-thimac flow {src.kind.word} -> "
                 f"{dst.kind.word}", "IllegalStagePair")
     touched = set()
-    for edge in model.flows:
-        touched.update((edge.src, edge.dst))
-    for edge in model.triggers:
+    for edge in (*model.flows, *model.triggers):
         touched.update((edge.src, edge.dst))
     for aid in model.actions:
         if aid not in touched:

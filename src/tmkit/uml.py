@@ -15,9 +15,13 @@ invariant, once: one pass finds duplicate names and unknown parents,
 and the classes its walk from the roots does not reach lie on a cycle
 or lead into one. Both are linear in the number of classes.
 
-Size. A scaffold names each flow's ends by full path, so its text is
-O(classes × depth of the hierarchy); `dsl.MAX_THIMAC_DEPTH` caps that
-at 981 times the linear size.
+Size. A class d deep in the hierarchy is a thimac d deep, and its
+attributes and methods are d + 1 deep. `class_to_tm` rejects a
+hierarchy whose scaffold would nest deeper than `dsl.MAX_THIMAC_DEPTH`
+(981), so that `tm check` reads every scaffold: at most 981 classes
+deep, 980 if the deepest has an attribute or a method. A scaffold names
+each flow's ends by full path, so its text is O(classes × depth of the
+hierarchy), at most 981 times the linear size.
 """
 
 from __future__ import annotations
@@ -120,7 +124,8 @@ def _is_action_only(thimac: md.Thimac) -> bool:
 
 def class_to_tm(cm: ClassModel) -> md.StaticModel:
     """Expand a class model into the stored-attribute TM scaffold; reject
-    a duplicate class name, an unknown parent or a cycle, in that order."""
+    a duplicate class name, an unknown parent, a scaffold nested deeper
+    than `dsl.MAX_THIMAC_DEPTH` or a cycle, in that order."""
     names = {cls.name for cls in cm.classes}
     if len(names) != len(cm.classes):
         raise SchemaError("/classes: duplicate class name")
@@ -131,12 +136,24 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
                 f"class '{cls.name}' extends unknown '{cls.parent}'")
         children.setdefault(cls.parent, []).append(cls)
 
+    # a class d deep nests its attributes and methods d + 1 deep
+    reached: set[str] = set()
+    stack = [(cls, 1) for cls in children.get(None, [])]
+    while stack:
+        cls, depth = stack.pop()
+        if depth + bool(cls.attributes or cls.methods) > dsl.MAX_THIMAC_DEPTH:
+            raise UmlError("class hierarchy too deep")
+        reached.add(cls.name)
+        stack += [(sub, depth + 1) for sub in children.get(cls.name, [])]
+    for cls in cm.classes:  # all parents are known: a missed class cycles
+        if cls.name not in reached:
+            raise CyclicGeneralization(
+                f"generalization cycle through '{cls.name}'")
+
     actions: list[md.Action] = []
     flows: list[md.FlowEdge] = []
-    reached: set[str] = set()
 
     def expand(cls: ClassDef, prefix: str) -> md.Thimac:
-        reached.add(cls.name)
         path = f"{prefix}.{cls.name}" if prefix else cls.name
         aid = md.action_id(path, md.ActionKind.CREATE)
         actions.append(md.Action(aid, md.ActionKind.CREATE, path))
@@ -151,10 +168,6 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
                          action_ids=(aid,), subthimacs=tuple(subs))
 
     roots = tuple(expand(cls, "") for cls in children.get(None, []))
-    for cls in cm.classes:  # all parents are known: a missed class cycles
-        if cls.name not in reached:
-            raise CyclicGeneralization(
-                f"generalization cycle through '{cls.name}'")
     return md.build_model(roots, actions, flows, [])
 
 
@@ -204,45 +217,30 @@ def write_class_json(cm: ClassModel) -> str:
 def read_class_json(text: str) -> ClassModel:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise SchemaError(f"/: not valid JSON ({exc})") from exc
     _require(isinstance(payload, dict), "/", "expected an object")
     _reject_unknown(payload, {"classes"}, "/")
     _require("classes" in payload, "/classes", "missing")
-    _require(isinstance(payload["classes"], list), "/classes",
-             "expected an array")
-    classes = []
-    for i, raw in enumerate(payload["classes"]):
-        classes.append(_read_class(raw, f"/classes/{i}"))
+    classes = [_read_class(raw, where) for raw, where in _objects(
+        payload, "classes", {"name", "parent", "attributes", "methods"}, "")]
     return ClassModel(tuple(classes))
 
 
 def _read_class(raw, where) -> ClassDef:
-    _require(isinstance(raw, dict), where, "expected an object")
-    _reject_unknown(raw, {"name", "parent", "attributes", "methods"}, where)
     name = _read_name(raw, where)
     parent = raw.get("parent")
     _require(parent is None or isinstance(parent, str), f"{where}/parent",
              "expected a string or null")
-    attributes = []
-    for i, item in enumerate(raw.get("attributes", [])):
-        sub = f"{where}/attributes/{i}"
-        _require(isinstance(item, dict), sub, "expected an object")
-        _reject_unknown(item, {"name", "type"}, sub)
-        attributes.append(AttributeDef(_read_name(item, sub),
-                                       _read_type(item, "type", sub)))
+    attributes = [
+        AttributeDef(_read_name(item, sub), _read_type(item, "type", sub))
+        for item, sub in _objects(raw, "attributes", {"name", "type"}, where)]
     methods = []
-    for i, item in enumerate(raw.get("methods", [])):
-        sub = f"{where}/methods/{i}"
-        _require(isinstance(item, dict), sub, "expected an object")
-        _reject_unknown(item, {"name", "params", "returns"}, sub)
-        params = []
-        for j, p in enumerate(item.get("params", [])):
-            psub = f"{sub}/params/{j}"
-            _require(isinstance(p, dict), psub, "expected an object")
-            _reject_unknown(p, {"name", "type"}, psub)
-            params.append((_read_name(p, psub),
-                           _read_type(p, "type", psub)))
+    for item, sub in _objects(raw, "methods", {"name", "params", "returns"},
+                              where):
+        params = [
+            (_read_name(p, psub), _read_type(p, "type", psub))
+            for p, psub in _objects(item, "params", {"name", "type"}, sub)]
         returns = item.get("returns")
         _require(returns is None or returns in md.VALUE_TYPES,
                  f"{sub}/returns", "expected a value type or null")
@@ -251,26 +249,41 @@ def _read_class(raw, where) -> ClassDef:
     return ClassDef(name, tuple(attributes), tuple(methods), parent)
 
 
+def _objects(raw, key, fields, where):
+    """Yield each item of the array `raw[key]`, none if it is absent, with
+    its JSON path, once it is known to be an object of only `fields`."""
+    items = raw.get(key, [])
+    _require(isinstance(items, list), f"{where}/{key}", "expected an array")
+    for i, item in enumerate(items):
+        sub = f"{where}/{key}/{i}"
+        _require(isinstance(item, dict), sub, "expected an object")
+        _reject_unknown(item, fields, sub)
+        yield item, sub
+
+
 def _read_name(raw, where):
-    _require("name" in raw, f"{where}/name", "missing")
-    name = raw["name"]
-    _require(isinstance(name, str) and name, f"{where}/name",
-             "expected a non-empty string")
-    _require(dsl.is_name(name), f"{where}/name",
-             f"not a .tm name: {name!r}")
+    name = raw.get("name")
+    if not (isinstance(name, str) and dsl.is_name(name)):
+        # the messages are built only here, on the way to an error
+        _require("name" in raw, f"{where}/name", "missing")
+        _require(isinstance(name, str) and name, f"{where}/name",
+                 "expected a non-empty string")
+        raise SchemaError(f"{where}/name: not a .tm name: {name!r}")
     return name
 
 
 def _read_type(raw, key, where):
-    _require(key in raw, f"{where}/{key}", "missing")
-    _require(raw[key] in md.VALUE_TYPES, f"{where}/{key}",
-             f"expected one of {', '.join(md.VALUE_TYPES)}")
+    if raw.get(key) not in md.VALUE_TYPES:
+        _require(key in raw, f"{where}/{key}", "missing")
+        raise SchemaError(f"{where}/{key}: expected one of "
+                          f"{', '.join(md.VALUE_TYPES)}")
     return raw[key]
 
 
 def _reject_unknown(raw, allowed, where):
-    for key in raw:
-        _require(key in allowed, f"{where}/{key}", "unknown field")
+    if not raw.keys() <= allowed:
+        key = next(key for key in raw if key not in allowed)
+        raise SchemaError(f"{where}/{key}: unknown field")
 
 
 def _require(condition, where, message):

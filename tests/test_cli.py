@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tmkit
 from tmkit import cli, corpus, dsl
+from tmkit.model import VALUE_TYPES
 
 
 def run(capsys, *argv):
@@ -224,6 +227,109 @@ def test_check_and_fmt_never_exit_3(tmp_path_factory, text, command):
     assert cli.main([command, str(path)]) != 3
 
 
+#: stand-ins for JSON that `json.dumps` cannot write: an array nested too
+#: deep and an integer too long for Python to read
+_DEEP, _LONG = "\x00deep", "\x00long"
+_HOSTILE = {json.dumps(_DEEP): "[" * 100_000 + "]" * 100_000,
+            json.dumps(_LONG): "9" * 5000}
+
+
+def _hostile_json(payload) -> str:
+    text = json.dumps(payload)
+    for stand_in, raw in _HOSTILE.items():
+        text = text.replace(stand_in, raw)
+    return text
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from(["A", "x", "Account", *VALUE_TYPES, _DEEP, _LONG]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["name", "type", "x"]),
+                    st.sampled_from(["a", "number", _DEEP]), max_size=2))
+
+
+@st.composite
+def _mutated_class_json(draw):
+    """The bank class JSON with one to three of its fields deleted or
+    values replaced."""
+    from importlib import resources
+    payload = json.loads((resources.files("tmkit") / "fixtures"
+                          / "bank_classes.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        slots, stack = [], [payload]
+        while stack:
+            node = stack.pop()
+            keys = (range(len(node)) if isinstance(node, list)
+                    else list(node) if isinstance(node, dict) else ())
+            slots += [(node, key) for key in keys]
+            stack += [node[key] for key in keys]
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JSON_VALUES)
+    return _hostile_json(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_mutated_class_json())
+def test_to_tm_exits_0_or_1_and_writes_only_what_check_reads(
+        tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    source, scaffold = base / "hostile.json", base / "scaffold.tm"
+    source.write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["to-tm", str(source), "--out", str(scaffold)])
+        assert code in (0, 1)
+        if code == 0:
+            assert cli.main(["check", str(scaffold)]) in (0, 1)
+
+
+_SUMS = ("thimac A { store = 0; process = A := A + A - 1; }\n"
+         "event E covers { A.process } input A;\nbehavior { }\n")
+
+#: fills and inputs with which each model completes its run
+_COMPLETES = {
+    "bank": ["--world", "BankAccount=savings", "--world",
+             "BankAccount.SavingsAccount=deposit", "--world",
+             "BankAccount.balance=100", "--input", "E9:50"],
+    "beef": ["--input", "E1:main dish"],
+    "human": ["--world", "Human.name=Bob", "--world", "Human.weight=150",
+              "--world", "Human.gender=male", "--input", "Eat:snack"],
+    "sums": ["--world", "A=1"],
+}
+
+_RAW_VALUES = st.one_of(
+    _JSON_VALUES.map(_hostile_json), st.text(max_size=6),
+    st.integers(1, 6000).map(lambda n: "-" * (n % 2) + "9" * n),
+    st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n),
+    st.sampled_from(["1e400", "NaN", "-Infinity", "1.7e308", "[", "{"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["bank", "beef", "human", "sums"]),
+       data=st.data())
+def test_simulate_never_exits_3_on_any_value(tmp_path_factory, name, data):
+    path = tmp_path_factory.getbasetemp() / "model.tm"
+    text = _SUMS if name == "sums" else corpus.fixture_text(name)
+    path.write_text(text)
+    static, events, _ = dsl.parse(text)
+    stores = st.sampled_from([*static.store_paths(), "Nowhere"])
+    ids = st.sampled_from([*(event.id for event in events), "E99"])
+    argv = ["simulate", str(path), "--max-steps",
+            str(data.draw(st.integers(1, 50))), *_COMPLETES[name]]
+    # a later value of a key replaces an earlier one
+    for flag, keys, sep in (("--world", stores, "="), ("--input", ids, ":")):
+        for _ in range(data.draw(st.integers(0, 3))):
+            argv += [flag, data.draw(keys) + sep + data.draw(_RAW_VALUES)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) != 3
+
+
 def test_check_directory_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(tmp_path))
     assert (code, out) == (2, "")
@@ -272,6 +378,24 @@ def test_to_tm_malformed_json(capsys, tmp_path):
     code, out, err = run(capsys, "to-tm", str(bad))
     assert code == 1
     assert "/classes/0/oops" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"classes": [{"name": "A", "attributes": 5}]}',
+     "/classes/0/attributes: expected an array"),
+    ('{"classes": [{"name": "A", "methods": [{"name": "m", "params": 7}]}]}',
+     "/classes/0/methods/0/params: expected an array"),
+    ('{"classes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "/: not valid JSON (maximum recursion depth exceeded"),
+    ('{"classes": [' + "9" * 5000 + "]}",
+     "/: not valid JSON (Exceeds the limit (4300 digits)"),
+])
+def test_to_tm_rejects_json_it_cannot_read(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "to-tm", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cls, where, name", [
@@ -350,6 +474,17 @@ def test_to_tm_rejects_a_hierarchy_too_deep_to_print(capsys, tmp_path):
         1, "", "error: class hierarchy too deep\n")
 
 
+def test_to_tm_in_process_with_too_little_stack_exits_1(capsys, tmp_path):
+    # a scaffold at the bound fits a fresh interpreter's stack, but not
+    # what is left of it below pytest's own frames
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"classes": [
+        {"name": f"C{i}", "parent": f"C{i - 1}" if i else None}
+        for i in range(dsl.MAX_THIMAC_DEPTH)]}))
+    assert run(capsys, "to-tm", str(path)) == (
+        1, "", "error: class hierarchy too deep\n")
+
+
 def _python(*argv):
     """Run Python with tmkit importable, in a fresh interpreter."""
     src = str(Path(tmkit.__file__).parents[1])
@@ -380,6 +515,29 @@ def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
         result = _tm(*argv)
         assert (result.returncode, result.stderr) == (0, ""), argv
     assert scaffold.read_text().count(" specializes {") == n - 1
+
+
+@pytest.mark.parametrize("member", [None, "attributes", "methods"])
+def test_to_tm_writes_no_scaffold_that_nests_past_the_bound(tmp_path,
+                                                          member):
+    # the deepest of 981 classes sits at the bound; a member of it would
+    # sit one deeper
+    classes = [{"name": f"C{i}", "parent": f"C{i - 1}" if i else None}
+               for i in range(dsl.MAX_THIMAC_DEPTH)]
+    if member:
+        classes[-1][member] = [{"name": "a", "type": "number"}
+                               if member == "attributes" else {"name": "a"}]
+    source, scaffold = tmp_path / "deep.json", tmp_path / "scaffold.tm"
+    source.write_text(json.dumps({"classes": classes}))
+    result = _tm("to-tm", str(source), "--out", str(scaffold))
+    if member:
+        assert (result.returncode, result.stderr) == (
+            1, "error: class hierarchy too deep\n")
+        assert not scaffold.exists()
+    else:
+        assert (result.returncode, result.stderr) == (0, "")
+        result = _tm("check", str(scaffold))
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 def _nest(depth, inner, member=""):
@@ -532,6 +690,35 @@ def test_simulate_overflow_is_an_error_not_infinity(capsys, tmp_path):
     assert (code, err) == (0, "")
     trace = json.loads(out, parse_constant=_reject_constant)
     assert trace[0]["deltas"] == [{"path": "A", "old": 1e307, "new": 2e307}]
+
+
+def test_simulate_integer_overflow_is_an_error(capsys, tmp_path):
+    # the sum has 4301 digits, more than Python prints by default
+    path = tmp_path / "double.tm"
+    path.write_text("thimac A { store = 0; process = A := A + A; }\n"
+                    "event E covers { A.process };\nbehavior { }\n")
+    nines = "9" * 4300
+    assert run(capsys, "simulate", str(path), "--world", f"A={nines}") == (
+        1, "", f"error: cannot compute {nines} + {nines}\n")
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--world", "A=" + "[" * 30_000 + "]" * 30_000,
+     "maximum recursion depth exceeded"),
+    ("--world", "A=" + "9" * 5000, "Exceeds the limit (4300 digits)"),
+    ("--input", "E:-" + "9" * 5000, "Exceeds the limit (4300 digits)"),
+])
+def test_simulate_rejects_a_value_python_cannot_decode(capsys, tmp_path,
+                                                       flag, value, detail):
+    path = tmp_path / "fill.tm"
+    path.write_text("thimac A { store = 0; create; }\n"
+                    "event E covers { A.create } input A;\n"
+                    "behavior { }\n")
+    code, out, err = run(capsys, "simulate", str(path), flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read the {flag} value of "
+                          f"'{value[0]}' ({detail}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, raw", [("--world", "A"), ("--input", "E1")])

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,11 +63,23 @@ def test_and_or_short_circuit_along_a_chain():
                     ("-", Lit(-1.7e308))]),
      "cannot compute 1.7e+308 - -1.7e+308"),
     (chain(Lit(1), [("^", Lit(2))]), "unknown operator '^'"),
+    (chain(Lit(10 ** 308), [("+", Lit(10 ** 308))]),
+     f"cannot compute {10 ** 308} + {10 ** 308}"),
+    (chain(Lit(0), [("-", Lit(10 ** 308)), ("-", Lit(10 ** 308))]),
+     f"cannot compute {-10 ** 308} - {10 ** 308}"),
 ])
 def test_bad_operands_raise_guard_eval_error(expr, message):
     with pytest.raises(errors.GuardEvalError) as exc:
         evaluate(expr, {})
     assert str(exc.value).startswith(message)
+
+
+def test_an_integer_sum_in_the_range_of_a_float_stays_exact():
+    top = int(sys.float_info.max)
+    assert evaluate(chain(Lit(top - 1), [("+", Lit(1))]), {}) == top
+    assert evaluate(chain(Lit(-top), [("-", Lit(0))]), {}) == -top
+    assert evaluate(chain(Lit(10 ** 300), [("+", Lit(1))]), {}) == (
+        10 ** 300 + 1)
 
 
 @pytest.mark.parametrize("text, printed", [

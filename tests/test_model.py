@@ -54,6 +54,45 @@ def test_duplicate_sibling_name_rejected():
             [Thimac("A", subthimacs=(Thimac("B"), Thimac("B")))], [], [], [])
 
 
+@pytest.mark.parametrize("thimacs, path", [
+    pytest.param([Thimac("A"), Thimac("B"), Thimac("A"), Thimac("B")], "A",
+                 id="roots"),
+    pytest.param([Thimac("A", subthimacs=(
+        Thimac("B", subthimacs=(Thimac("C"), Thimac("D"), Thimac("C"))),
+        Thimac("B"))), Thimac("E", subthimacs=(Thimac("F"), Thimac("F")))],
+        "A.B.C", id="nested"),
+    pytest.param([Thimac("A", subthimacs=(Thimac("B"),)),
+                  Thimac("A", subthimacs=(Thimac("B"), Thimac("B")))], "A",
+                 id="under-a-duplicate"),
+    pytest.param([Thimac("A", subthimacs=(
+        Thimac("B", subthimacs=(Thimac("C"),)),
+        Thimac("B", subthimacs=(Thimac("C"), Thimac("C")))))], "A.B",
+        id="nested-under-a-duplicate"),
+])
+def test_the_first_duplicate_sibling_in_preorder_is_reported(thimacs, path):
+    with pytest.raises(errors.DuplicateSiblingName) as exc:
+        build_model(thimacs, [], [], [])
+    assert str(exc.value) == f"duplicate sibling thimac '{path}'"
+
+
+def test_a_chain_of_thimacs_deeper_than_the_stack_is_walked_in_preorder():
+    depth = 5000
+    # a stored thimac at each level; every 1000th also holds a leaf `z`
+    # after its link, which preorder reaches only after the chain below
+    node = Thimac("a", store=md.Store(depth - 1))
+    for level in reversed(range(depth - 1)):
+        subs = (node,) + (Thimac("z", store=md.Store("z")),) * (
+            level % 1000 == 0)
+        node = Thimac("a", store=md.Store(level), subthimacs=subs)
+    static = build_model([node], [], [], [])
+    chain = ["a" + ".a" * level for level in range(depth)]
+    leaves = [chain[level] + ".z" for level in range(depth - 1000, -1, -1000)]
+    assert [path for path, _ in static.iter_thimacs()] == chain + leaves
+    stores = static.store_paths()
+    assert list(stores) == chain + leaves
+    assert [s.value for s in stores.values()] == [*range(depth)] + ["z"] * 5
+
+
 def test_dangling_edge_rejected():
     with pytest.raises(errors.UnknownPath):
         _simple({"A": [K.TRANSFER]}, flows=[("A.transfer", "A.receive")])

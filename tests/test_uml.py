@@ -98,6 +98,30 @@ def test_cyclic_generalization_rejected():
         class_to_tm(cm)
 
 
+def _chain(classes, **deepest):
+    """A chain of `classes` classes, each the parent of the next; the
+    deepest gets the `ClassDef` fields in `deepest`."""
+    return ClassModel(tuple(
+        ClassDef(f"C{i}", parent=f"C{i - 1}" if i else None,
+                 **(deepest if i == classes - 1 else {}))
+        for i in range(classes)))
+
+
+@pytest.mark.parametrize("cm", [
+    pytest.param(_chain(dsl.MAX_THIMAC_DEPTH + 1), id="classes"),
+    pytest.param(_chain(dsl.MAX_THIMAC_DEPTH,
+                        attributes=(AttributeDef("a"),)), id="attribute"),
+    pytest.param(_chain(dsl.MAX_THIMAC_DEPTH, methods=(MethodDef("m"),)),
+                 id="method"),
+    pytest.param(ClassModel(_chain(3000).classes + (
+        ClassDef("X", parent="Y"), ClassDef("Y", parent="X"))),
+        id="before-a-cycle"),
+])
+def test_class_to_tm_rejects_a_scaffold_nested_past_the_bound(cm):
+    with pytest.raises(errors.UmlError, match="^class hierarchy too deep$"):
+        class_to_tm(cm)
+
+
 # -- random static models --
 
 @st.composite
@@ -273,6 +297,21 @@ def test_json_bad_type():
     with pytest.raises(errors.SchemaError) as exc:
         read_class_json(text)
     assert "/classes/0/attributes/0/type" in str(exc.value)
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"classes": 5}, "/classes"),
+    ({"classes": [{"name": "A", "attributes": 5}]}, "/classes/0/attributes"),
+    ({"classes": [{"name": "A", "attributes": {"x": 1}}]},
+     "/classes/0/attributes"),
+    ({"classes": [{"name": "A", "methods": "xy"}]}, "/classes/0/methods"),
+    ({"classes": [{"name": "A", "methods": [{"name": "m", "params": 7}]}]},
+     "/classes/0/methods/0/params"),
+])
+def test_json_field_that_is_not_an_array(payload, where):
+    with pytest.raises(errors.SchemaError) as exc:
+        read_class_json(json.dumps(payload))
+    assert str(exc.value) == f"{where}: expected an array"
 
 
 def test_json_golden_fixture_parses_to_bank_model(bank):
