@@ -18,7 +18,6 @@ path only.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 
 from . import expr as ex
@@ -104,11 +103,11 @@ def _classify(lexeme: str) -> tuple:
     if first.isdecimal():  # what `\d` matches
         try:
             value = float(lexeme) if "." in lexeme else int(lexeme)
-        except ValueError:  # more digits than int() accepts
-            value = math.inf
-        if value == math.inf:  # or a float beyond the largest double
-            return ("ERROR", f"number too long: {len(lexeme)} digits")
-        return ("NUMBER", value)
+            if ex.in_range(value):
+                return ("NUMBER", value)
+        except ValueError:  # not a number (`is_name("2go")`), or more
+            pass  # digits than int() reads (4300)
+        return ("ERROR", f"number too long: {len(lexeme)} digits")
     # `\w` admits digits such as '²' that str.isalpha() rejects
     if first.isalpha() or first == "_":
         return ("NAME", lexeme)

@@ -10,7 +10,8 @@ The nodes are `Lit` (a literal), `PathRef` (a store read), `Unary` (`not`),
 `or` is a Chain of that operator alone. Build chains with `chain`, which
 extends a first operand that is a chain of the same run, so `(a + b) + c`
 and `a + b + c` are one tree. Every function here loops along a run and
-recurses only into operands, whose depth the parser bounds.
+recurses only into operands, whose depth the parser bounds. A number,
+in a literal, a store or a sum, lies in the range of a float: `in_range`.
 """
 
 from __future__ import annotations
@@ -61,11 +62,15 @@ Expr = Lit | PathRef | Unary | Binary | Chain
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 
-#: Every sum stays in the range of a float, even a sum of integers.
 _MAX = sys.float_info.max
 
 #: The run an operator belongs to: `+` and `-` mix, `and` and `or` do not.
 _RUN = {"and": "and", "or": "or", "+": "+", "-": "+"}
+
+
+def in_range(number) -> bool:
+    """Whether -MAX <= number <= MAX: false for inf, NaN and larger ints."""
+    return -_MAX <= number <= _MAX
 
 
 def chain(first: Expr, rest) -> Expr:
@@ -98,8 +103,7 @@ def evaluate(expr: Expr, stores: dict) -> Value:
     """Evaluate against a path -> value map.
 
     Raises GuardEvalError for unknown or unset store reads, for operands
-    an operator cannot take and for a sum or difference, of floats or of
-    integers, beyond the largest float.
+    an operator cannot take and for a sum or difference not `in_range`.
     """
     kind = type(expr)  # faster than isinstance on this hot path
     if kind is Lit:
@@ -130,8 +134,8 @@ def evaluate(expr: Expr, stores: dict) -> Value:
             right = evaluate(operand, stores)
             try:
                 new = value + right if op == "+" else value - right
-                if type(new) is not str and not -_MAX <= new <= _MAX:
-                    raise OverflowError  # also NaN
+                if type(new) is not str and not in_range(new):
+                    raise OverflowError
             except (TypeError, OverflowError) as exc:
                 raise GuardEvalError(
                     f"cannot compute {value!r} {op} {right!r}") from exc

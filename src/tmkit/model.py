@@ -59,14 +59,16 @@ class Store:
     value: ex.Value | None = None
 
 
-def value_type_of(value) -> str:
+def value_type_of(value) -> str | None:
+    """The type of a value a store may hold; None for a number out of
+    `expr.in_range` and for what is no number, text, boolean or None."""
     if value is None:
         return "reference"
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, (int, float)):
-        return "number"
-    return "text"
+        return "number" if ex.in_range(value) else None
+    return "text" if isinstance(value, str) else None
 
 
 @record

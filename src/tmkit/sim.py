@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 
 from . import expr as ex
 from . import model as md
@@ -90,14 +89,13 @@ def init_world(static: md.StaticModel, fills=None) -> WorldState:
     return world
 
 
-def _write_store(world: WorldState, path: str, value):
+def _write_store(world: WorldState, path: str, value) -> StoreDelta:
     if path not in world.stores:
         raise FillPathUnstored(f"no store at path '{path}'")
-    if not (value is None or isinstance(value, (bool, str, int))
-            or isinstance(value, float) and math.isfinite(value)):
-        raise TypeMismatch(f"store '{path}' holds a finite number, text, "
-                           f"a boolean or a reference, got {value!r}")
     new_type = md.value_type_of(value)
+    if new_type is None:
+        raise TypeMismatch(f"store '{path}' holds a number in float range, "
+                           f"text, a boolean or a reference, got {value!r}")
     declared = world.declared_types[path]
     if declared is not None and new_type != declared:
         raise TypeMismatch(
@@ -108,7 +106,7 @@ def _write_store(world: WorldState, path: str, value):
         raise TypeMismatch(
             f"store '{path}' was {md.value_type_of(old)}, got {new_type}")
     world.stores[path] = value
-    return old
+    return StoreDelta(path, old, value)
 
 
 def simulate(static: md.StaticModel, behavior: BehavioralModel,
@@ -213,9 +211,7 @@ def _fire(event: EventRegion, plan, step: int, world: WorldState,
           inputs) -> TraceEntry:
     deltas: list[StoreDelta] = []
     if event.input_path is not None:
-        old = _write_store(world, event.input_path, inputs[event.id])
-        deltas.append(StoreDelta(event.input_path, old,
-                                 world.stores[event.input_path]))
+        deltas.append(_write_store(world, event.input_path, inputs[event.id]))
 
     order, steps = plan
     tokens = world.tokens
@@ -228,9 +224,8 @@ def _fire(event: EventRegion, plan, step: int, world: WorldState,
                     tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
         if update is not None:
             target, rule = update
-            value = ex.evaluate(rule, world.stores)
-            old = _write_store(world, target, value)
-            deltas.append(StoreDelta(target, old, value))
+            deltas.append(_write_store(world, target,
+                                       ex.evaluate(rule, world.stores)))
     return TraceEntry(step, event.id, order, tuple(deltas))
 
 

@@ -220,7 +220,7 @@ def read_class_json(text: str) -> ClassModel:
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise SchemaError(f"/: not valid JSON ({exc})") from exc
     _require(isinstance(payload, dict), "/", "expected an object")
-    _reject_unknown(payload, {"classes"}, "/")
+    _reject_unknown(payload, {"classes"}, "")
     _require("classes" in payload, "/classes", "missing")
     classes = [_read_class(raw, where) for raw, where in _objects(
         payload, "classes", {"name", "parent", "attributes", "methods"}, "")]

@@ -219,12 +219,14 @@ def _mutated_fixture(draw):
 @given(text=st.one_of(st.text(), st.binary(),
                       st.lists(st.sampled_from(_FRAGMENTS)).map(" ".join),
                       _mutated_fixture()),
-       command=st.sampled_from(["check", "fmt"]))
+       command=st.sampled_from([
+           "check", "fmt", "dot", "to-class",
+           "dot --show-stores --target behavior --rankdir TB"]))
 def test_check_and_fmt_never_exit_3(tmp_path_factory, text, command):
     path = tmp_path_factory.getbasetemp() / "hostile.tm"
     path.write_bytes(text if isinstance(text, bytes)
                      else text.encode("utf-8"))
-    assert cli.main([command, str(path)]) != 3
+    assert cli.main([*command.split(), str(path)]) != 3
 
 
 #: stand-ins for JSON that `json.dumps` cannot write: an array nested too
@@ -372,6 +374,18 @@ def test_to_tm_then_to_class_is_identity(capsys, tmp_path, bank_path):
     assert back == class_json
 
 
+@pytest.mark.parametrize("payload, where", [
+    ({"classes": [], "x": 1}, "/x"),
+    ({"classes": [{"name": "A", "x": 1}]}, "/classes/0/x"),
+])
+def test_to_tm_names_an_unknown_field_by_its_json_path(capsys, tmp_path,
+                                                      payload, where):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "to-tm", str(path)) == (
+        1, "", f"error: {where}: unknown field\n")
+
+
 def test_to_tm_malformed_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"classes": [{"name": "A", "oops": 1}]}')
@@ -408,6 +422,8 @@ def test_to_tm_rejects_json_it_cannot_read(capsys, tmp_path, text, message):
     ({"name": "A", "methods": [{"name": "go", "params": [
         {"name": "a-b", "type": "text"}]}]},
      "/classes/0/methods/0/params/0/name", "a-b"),
+    ({"name": "2go"}, "/classes/0/name", "2go"),
+    ({"name": "9" * 400}, "/classes/0/name", "9" * 400),
 ])
 def test_to_tm_rejects_a_name_that_is_not_a_tm_name(capsys, tmp_path, cls,
                                                    where, name):
@@ -666,6 +682,8 @@ def _reject_constant(name):
     ("0", "--world", "A=NaN", "nan"),
     ("0", "--world", "A=-Infinity", "-inf"),
     ("0", "--input", "E:1e400", "inf"),
+    ("0", "--world", "A=" + "9" * 400, "9" * 400),
+    ("0", "--input", "E:-" + "9" * 400, "-" + "9" * 400),
 ])
 def test_simulate_rejects_a_store_value_of_no_value_type(
         capsys, tmp_path, store, flag, value, shown):
@@ -674,8 +692,8 @@ def test_simulate_rejects_a_store_value_of_no_value_type(
                     "event E covers { A.create } input A;\n"
                     "behavior { }\n")
     assert run(capsys, "simulate", str(path), flag, value) == (
-        1, "", "error: store 'A' holds a finite number, text, a boolean or "
-        f"a reference, got {shown}\n")
+        1, "", "error: store 'A' holds a number in float range, text, a "
+        f"boolean or a reference, got {shown}\n")
 
 
 def test_simulate_overflow_is_an_error_not_infinity(capsys, tmp_path):
@@ -692,14 +710,23 @@ def test_simulate_overflow_is_an_error_not_infinity(capsys, tmp_path):
     assert trace[0]["deltas"] == [{"path": "A", "old": 1e307, "new": 2e307}]
 
 
+def test_a_number_literal_beyond_a_float_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "long.tm"
+    path.write_text("thimac A { store = 0; process = A := " + "9" * 400
+                    + "; }\nevent E covers { A.process };\nbehavior { }\n")
+    for command in ("check", "simulate"):
+        assert run(capsys, command, str(path)) == (
+            2, "", "parse error: 1:38: number too long: 400 digits\n")
+
+
 def test_simulate_integer_overflow_is_an_error(capsys, tmp_path):
-    # the sum has 4301 digits, more than Python prints by default
+    # the largest integer a store holds, doubled
     path = tmp_path / "double.tm"
     path.write_text("thimac A { store = 0; process = A := A + A; }\n"
                     "event E covers { A.process };\nbehavior { }\n")
-    nines = "9" * 4300
-    assert run(capsys, "simulate", str(path), "--world", f"A={nines}") == (
-        1, "", f"error: cannot compute {nines} + {nines}\n")
+    top = int(sys.float_info.max)
+    assert run(capsys, "simulate", str(path), "--world", f"A={top}") == (
+        1, "", f"error: cannot compute {top} + {top}\n")
 
 
 @pytest.mark.parametrize("flag, value, detail", [

@@ -1,4 +1,5 @@
 import decimal
+import sys
 import time
 
 import pytest
@@ -197,6 +198,7 @@ def test_tokenizer_table(text, expected):
     ("", False), ("A b", False), ("A ", False), (" A", False),
     ("x.y", False), ("2go", False), ("²a", False), ("a-b", False),
     ("a→", False), ("→", False), ('"a"', False), ("a#b", False),
+    ("1.5x", False), ("9" * 400, False),
 ])
 def test_is_name_is_the_lexers_name_rule(text, expected):
     assert dsl.is_name(text) is expected
@@ -303,6 +305,21 @@ def test_float_literals_print_without_exponent():
     assert dsl.parse(text)[0] == static
     with pytest.raises(dsl.ParseError, match="1:20: number too long"):
         dsl.parse("thimac A { store = " + "9" * 400 + ".; }")
+
+
+def test_an_integer_literal_is_bounded_by_the_largest_float():
+    top = int(sys.float_info.max)
+    static, _, _ = dsl.parse(f"thimac A {{ store = {top}; }}")
+    assert static.thimacs[0].store.value == top
+    static, _, _ = dsl.parse(f"thimac A {{ store = -{top}; }}")
+    assert static.thimacs[0].store.value == -top
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(f"thimac A {{ store = {top + 1}; }}")
+    assert str(exc.value) == "1:20: number too long: 309 digits"
+    # leading zeros do not count against the bound
+    static, _, _ = dsl.parse("thimac A { store = " + "0" * 399 + "1; }")
+    assert static.thimacs[0].store.value == 1
+    assert type(static.thimacs[0].store.value) is int
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

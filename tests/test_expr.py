@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tmkit import dsl, errors
 from tmkit.events import BehaviorEdge
 from tmkit.expr import (UNSET, Binary, Chain, Lit, PathRef, Unary, chain,
-                        evaluate, paths_in, to_text)
+                        evaluate, in_range, paths_in, to_text)
 
 
 def _chain(op, operand, n):
@@ -72,6 +72,13 @@ def test_bad_operands_raise_guard_eval_error(expr, message):
     with pytest.raises(errors.GuardEvalError) as exc:
         evaluate(expr, {})
     assert str(exc.value).startswith(message)
+
+
+def test_in_range_is_the_range_of_a_float_for_integers_too():
+    top = int(sys.float_info.max)
+    assert all(map(in_range, [0, -1.5, top, -top, sys.float_info.max]))
+    assert not any(map(in_range, [top + 1, -top - 1, float("inf"),
+                                  float("-inf"), float("nan")]))
 
 
 def test_an_integer_sum_in_the_range_of_a_float_stays_exact():

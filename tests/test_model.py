@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -195,3 +196,24 @@ def test_containment_is_a_tree(parsed_corpus):
     for static, _, _ in parsed_corpus.values():
         paths = [path for path, _ in static.iter_thimacs()]
         assert len(paths) == len(set(paths))
+
+
+_TOP = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (None, "reference"), (True, "boolean"), (False, "boolean"),
+    (0, "number"), (-2.5, "number"), (_TOP, "number"), (-_TOP, "number"),
+    (sys.float_info.max, "number"), ("", "text"), ("[1]", "text"),
+    (_TOP + 1, None), (-10 ** 400, None), (float("inf"), None),
+    (float("-inf"), None), (float("nan"), None), ([1], None),
+    ({"a": 1}, None), ((), None),
+])
+def test_value_type_of_names_what_a_store_may_hold(value, expected):
+    assert md.value_type_of(value) == expected
+
+
+def test_every_parsed_store_value_has_a_value_type(parsed_corpus):
+    for static, _, _ in parsed_corpus.values():
+        for store in static.store_paths().values():
+            assert md.value_type_of(store.value) in md.VALUE_TYPES

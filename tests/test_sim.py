@@ -59,6 +59,18 @@ def test_init_world_type_mismatch(human):
         sim.init_world(static, {"Human.weight": "heavy"})
 
 
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, float("inf"),
+                                   float("nan"), [1], {"a": 1}])
+def test_a_store_holds_no_value_out_of_range_or_of_no_value_type(value):
+    static, _, _ = dsl.parse("thimac A { store = 0; }")
+    with pytest.raises(errors.TypeMismatch, match="store 'A' holds a number"):
+        sim.init_world(static, {"A": value})
+    world = sim.init_world(static)
+    with pytest.raises(errors.TypeMismatch):
+        sim._write_store(world, "A", value)
+    assert world.stores == {"A": UNSET}
+
+
 # -- guards --
 
 def _guard_world(value):
