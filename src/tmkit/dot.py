@@ -38,10 +38,9 @@ def _emit_static(static: md.StaticModel, opts: RenderOptions) -> str:
         lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
         label = thimac.name + (" (specializes)" if thimac.specializes else "")
         lines.append(f"{indent}  label={_quote(label)};")
-        for aid in thimac.action_ids:
-            kind = static.actions[aid].kind
-            lines.append(f"{indent}  {_quote(aid)} "
-                         f"[label={_quote(kind.word)}];")
+        for action in static.actions_by_owner.get(path, ()):
+            lines.append(f"{indent}  {_quote(action.id)} "
+                         f"[label={_quote(action.kind.word)}];")
         if opts.show_stores and thimac.store is not None:
             value = thimac.store.value
             label = ("store" if value is None

@@ -3,7 +3,8 @@
 The `.tm` format is the toolkit's interchange format. `->` declares a
 flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 `#` starts a comment, and dotted paths resolve through thimac nesting.
-parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m).
+parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m)
+for every model m that `model.build_model` accepts.
 
 Cost. The whole file is lexed before parsing starts, in one C-level
 `findall` pass of `_LEXEME_RE` that skips blanks, line breaks and
@@ -255,7 +256,7 @@ class _Parser:
         specializes = self.take("NAME", "specializes")
         self.expect("{")
         store = None
-        action_ids = []
+        kinds = set()
         subthimacs = []
         while not self.at("}"):
             start = self.pos
@@ -271,8 +272,7 @@ class _Parser:
                 self.expect(";")
             elif word in _KEYWORD_KINDS:
                 kind = _KEYWORD_KINDS[word]
-                aid = md.action_id(path, kind)
-                if aid in action_ids:
+                if kind in kinds:
                     raise self.error(start, f"{word} re-declared in '{path}'")
                 self.pos += 1
                 update = None
@@ -284,8 +284,8 @@ class _Parser:
                     self.expect(":=")
                     update = (target, self.parse_additive())
                 self.expect(";")
-                actions.append(md.Action(aid, kind, path, update))
-                action_ids.append(aid)
+                actions.append(md.Action(path, kind, update))
+                kinds.add(kind)
             else:
                 found = self.tokens[start][1]
                 raise self.error(
@@ -293,8 +293,7 @@ class _Parser:
                     expected=["thimac", "store",
                               *sorted(_KEYWORD_KINDS), "}"])
         self.expect("}")
-        return md.Thimac(name, specializes, store, tuple(action_ids),
-                         tuple(subthimacs))
+        return md.Thimac(name, specializes, store, tuple(subthimacs))
 
     def parse_edge(self, keyword, arrow, factory):
         self.expect("NAME", keyword)
@@ -463,8 +462,8 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
     """Emit canonical DSL text; deterministic and parse-stable."""
     static = md.canonicalize(static)
-    blocks = ["\n".join(_thimac_lines(thimac, static, ""))
-              for thimac in static.thimacs]
+    blocks = ["\n".join(_thimac_lines(t, t.name, static.actions_by_owner, ""))
+              for t in static.thimacs]
     sections = ([f"flow {e.src} -> {e.dst};" for e in static.flows],
                 [f"trigger {e.src} --> {e.dst};" for e in static.triggers],
                 [_event_line(ev) for ev in events])
@@ -478,7 +477,7 @@ def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _thimac_lines(thimac: md.Thimac, static, indent):
+def _thimac_lines(thimac: md.Thimac, path, owned, indent):
     head = f"{indent}thimac {thimac.name}"
     if thimac.specializes:
         head += " specializes"
@@ -489,8 +488,8 @@ def _thimac_lines(thimac: md.Thimac, static, indent):
             lines.append(f"{inner}store;")
         else:
             lines.append(f"{inner}store = {ex._lit_text(thimac.store.value)};")
-    for aid in thimac.action_ids:
-        action = static.actions[aid]
+    for action in sorted(owned.get(path, ()),
+                         key=lambda a: md.KIND_ORDER.index(a.kind)):
         if action.update is not None:
             target, rule = action.update
             lines.append(f"{inner}{action.kind.value} = {target} := "
@@ -498,7 +497,7 @@ def _thimac_lines(thimac: md.Thimac, static, indent):
         else:
             lines.append(f"{inner}{action.kind.value};")
     for sub in thimac.subthimacs:
-        lines.extend(_thimac_lines(sub, static, inner))
+        lines.extend(_thimac_lines(sub, f"{path}.{sub.name}", owned, inner))
     lines.append(f"{indent}}}")
     return lines
 

@@ -9,6 +9,7 @@ without moving a thing.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterator
 
 from . import expr as ex
@@ -29,11 +30,8 @@ class ActionKind(enum.Enum):
         return self.value.capitalize()
 
 
-#: Canonical ordering of action kinds inside a thimac.
-KIND_ORDER = (ActionKind.CREATE, ActionKind.PROCESS, ActionKind.RELEASE,
-              ActionKind.TRANSFER, ActionKind.RECEIVE)
-
-_KIND_RANK = {kind: i for i, kind in enumerate(KIND_ORDER)}
+#: Canonical ordering of action kinds inside a thimac: their declaration order
+KIND_ORDER = tuple(ActionKind)
 
 #: Legal (from-kind, to-kind) pairs for a flow inside one thimac.
 LEGAL_INTRA = {
@@ -73,10 +71,15 @@ def value_type_of(value) -> str | None:
 
 @record
 class Action:
-    id: str
-    kind: ActionKind
+    """Stated once, in the action table: its id and its thimac's list of
+    actions (`StaticModel.actions_by_owner`) derive from owner and kind."""
     owner: str  # dotted path of the containing thimac
+    kind: ActionKind
     update: tuple[str, ex.Expr] | None = None  # target path := expr
+
+    @property
+    def id(self) -> str:
+        return action_id(self.owner, self.kind)
 
 
 def action_id(owner: str, kind: ActionKind) -> str:
@@ -100,7 +103,6 @@ class Thimac:
     name: str
     specializes: bool = False
     store: Store | None = None
-    action_ids: tuple[str, ...] = ()
     subthimacs: tuple["Thimac", ...] = ()
 
 
@@ -113,6 +115,15 @@ class StaticModel:
 
     def iter_thimacs(self) -> Iterator[tuple[str, Thimac]]:
         return _walk(self.thimacs)
+
+    @functools.cached_property
+    def actions_by_owner(self) -> dict[str, list[Action]]:
+        """Thimac path -> its actions in table order; a thimac with no
+        actions is absent."""
+        by_owner: dict[str, list[Action]] = {}
+        for action in self.actions.values():
+            by_owner.setdefault(action.owner, []).append(action)
+        return by_owner
 
     def store_paths(self) -> dict[str, Store]:
         return {path: t.store
@@ -180,12 +191,13 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
 
     table: dict[str, Action] = {}
     for action in actions:
-        if action.id in table:
-            raise DuplicateId(f"duplicate action id '{action.id}'")
+        aid = action.id
+        if aid in table:
+            raise DuplicateId(f"duplicate action id '{aid}'")
         if action.owner not in paths:
             raise UnknownPath(
-                f"action '{action.id}' owner '{action.owner}' does not exist")
-        table[action.id] = action
+                f"action '{aid}' owner '{action.owner}' does not exist")
+        table[aid] = action
 
     flow_pairs = set()
     for edge in flows:
@@ -242,23 +254,9 @@ def validate_static(model: StaticModel) -> ValidationReport:
 
 
 def canonicalize(model: StaticModel) -> StaticModel:
-    """Deterministic ordering: actions by kind, edges lexicographically.
-
-    Thimac declaration order is preserved. Idempotent.
-    """
-    rank = {aid: _KIND_RANK[a.kind] for aid, a in model.actions.items()}
-
-    def fix(t: Thimac) -> Thimac:
-        ids = tuple(sorted(t.action_ids, key=rank.__getitem__))
-        # a loop, not map() or a comprehension: one Python frame and no
-        # C-level call per level of nesting
-        subs = []
-        for sub in t.subthimacs:
-            subs.append(fix(sub))
-        return Thimac(t.name, t.specializes, t.store, ids, tuple(subs))
-
-    thimacs = tuple(map(fix, model.thimacs))
+    """Deterministic ordering: actions by id, flows and triggers by
+    (src, dst). The thimac tree is kept as it is. Idempotent."""
     actions = {aid: model.actions[aid] for aid in sorted(model.actions)}
     flows = tuple(sorted(model.flows, key=lambda e: (e.src, e.dst)))
     triggers = tuple(sorted(model.triggers, key=lambda e: (e.src, e.dst)))
-    return StaticModel(thimacs, actions, flows, triggers)
+    return StaticModel(model.thimacs, actions, flows, triggers)

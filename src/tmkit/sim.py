@@ -94,8 +94,12 @@ def _write_store(world: WorldState, path: str, value) -> StoreDelta:
         raise FillPathUnstored(f"no store at path '{path}'")
     new_type = md.value_type_of(value)
     if new_type is None:
+        try:
+            shown = repr(value)
+        except ValueError:  # an int of more digits than repr writes (4300)
+            shown = f"an integer of {value.bit_length()} bits"
         raise TypeMismatch(f"store '{path}' holds a number in float range, "
-                           f"text, a boolean or a reference, got {value!r}")
+                           f"text, a boolean or a reference, got {shown}")
     declared = world.declared_types[path]
     if declared is not None and new_type != declared:
         raise TypeMismatch(

@@ -73,13 +73,15 @@ def tm_to_class(static: md.StaticModel) -> ClassModel:
     classes: list[ClassDef] = []
     paths: dict[str, str] = {}
     for thimac in static.thimacs:
-        _classify(thimac, thimac.name, None, classes, paths)
+        _classify(thimac, thimac.name, None, classes, paths,
+                  static.actions_by_owner)
     return ClassModel(tuple(classes))
 
 
-def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
+def _classify(thimac: md.Thimac, path: str, parent, classes, paths, owned):
     """Append the class of `thimac` and of its specializing descendants;
-    `paths` maps each class name taken so far to its thimac's path."""
+    `paths` maps each class name taken so far to its thimac's path, and
+    `owned` is the model's `actions_by_owner`."""
     if thimac.name in paths:
         raise UmlError(f"class name '{thimac.name}' is used by both "
                        f"'{paths[thimac.name]}' and '{path}'")
@@ -92,7 +94,8 @@ def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
         if sub.specializes:
             subclasses.append(sub)
             continue
-        method_children = [c for c in sub.subthimacs if _is_action_only(c)]
+        method_children = [c for c in sub.subthimacs if _is_action_only(
+            c, f"{sub_path}.{c.name}", owned)]
         if sub.store is not None:
             if sub.subthimacs and len(method_children) == len(sub.subthimacs):
                 raise AmbiguousSubthimac(
@@ -101,7 +104,7 @@ def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
             attributes.append(
                 AttributeDef(sub.name, md.value_type_of(sub.store.value)))
             continue
-        if _is_action_only(sub):
+        if _is_action_only(sub, sub_path, owned):
             methods.append(MethodDef(sub.name))
             continue
         import logging  # only here: it adds to every command's start-up
@@ -112,12 +115,13 @@ def _classify(thimac: md.Thimac, path: str, parent, classes, paths):
     classes.append(ClassDef(thimac.name, tuple(attributes), tuple(methods),
                             parent))
     for sub in subclasses:
-        _classify(sub, f"{path}.{sub.name}", thimac.name, classes, paths)
+        _classify(sub, f"{path}.{sub.name}", thimac.name, classes, paths,
+                  owned)
 
 
-def _is_action_only(thimac: md.Thimac) -> bool:
+def _is_action_only(thimac: md.Thimac, path: str, owned) -> bool:
     return (thimac.store is None and not thimac.subthimacs
-            and bool(thimac.action_ids))
+            and path in owned)
 
 
 # -- class -> TM --
@@ -155,8 +159,7 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
 
     def expand(cls: ClassDef, prefix: str) -> md.Thimac:
         path = f"{prefix}.{cls.name}" if prefix else cls.name
-        aid = md.action_id(path, md.ActionKind.CREATE)
-        actions.append(md.Action(aid, md.ActionKind.CREATE, path))
+        actions.append(md.Action(path, md.ActionKind.CREATE))
         subs = [_attribute_thimac(attr, path, actions, flows)
                 for attr in cls.attributes]
         subs += [_method_thimac(method, path, actions)
@@ -165,7 +168,7 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
         for sub in children.get(cls.name, []):
             subs.append(expand(sub, path))
         return md.Thimac(cls.name, specializes=prefix != "",
-                         action_ids=(aid,), subthimacs=tuple(subs))
+                         subthimacs=tuple(subs))
 
     roots = tuple(expand(cls, "") for cls in children.get(None, []))
     return md.build_model(roots, actions, flows, [])
@@ -173,11 +176,7 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
 
 def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
     path = f"{prefix}.{attr.name}"
-    ids = []
-    for kind in md.KIND_ORDER:
-        aid = md.action_id(path, kind)
-        actions.append(md.Action(aid, kind, path))
-        ids.append(aid)
+    actions.extend(md.Action(path, kind) for kind in md.KIND_ORDER)
     # setter enters via Transfer/Receive and lands in the store through
     # Process/Create; getter leaves via Release/Transfer
     k = md.ActionKind
@@ -187,14 +186,13 @@ def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
         flows.append(md.FlowEdge(md.action_id(path, src),
                                  md.action_id(path, dst)))
     store = md.Store(_TYPE_DEFAULTS[attr.value_type])
-    return md.Thimac(attr.name, store=store, action_ids=tuple(ids))
+    return md.Thimac(attr.name, store=store)
 
 
 def _method_thimac(method: MethodDef, prefix, actions):
-    path = f"{prefix}.{method.name}"
-    aid = md.action_id(path, md.ActionKind.PROCESS)
-    actions.append(md.Action(aid, md.ActionKind.PROCESS, path))
-    return md.Thimac(method.name, action_ids=(aid,))
+    actions.append(md.Action(f"{prefix}.{method.name}",
+                             md.ActionKind.PROCESS))
+    return md.Thimac(method.name)
 
 
 # -- JSON interchange --

@@ -158,8 +158,7 @@ def covered_models(draw):
     """A static model with random flows, triggers and self-loops, and
     events with random covers plus one covering each trigger's ends."""
     thimacs = [md.Thimac(f"T{i}") for i in range(draw(st.integers(1, 4)))]
-    actions = [md.Action(md.action_id(t.name, kind), kind, t.name)
-               for t in thimacs
+    actions = [md.Action(t.name, kind) for t in thimacs
                for kind in draw(st.sets(st.sampled_from(list(md.ActionKind)),
                                         min_size=1))]
     ids = [a.id for a in actions]

@@ -2,8 +2,9 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tmkit import errors, model as md
+from tmkit import dsl, errors, expr as ex, model as md
 from tmkit.model import (Action, ActionKind, FlowEdge, StaticModel, Thimac,
                          TriggerEdge, build_model, canonicalize,
                          validate_static)
@@ -16,12 +17,8 @@ def _simple(actions_by_thimac, flows=(), triggers=()):
     thimacs = []
     actions = []
     for name, kinds in actions_by_thimac.items():
-        ids = []
-        for kind in kinds:
-            aid = md.action_id(name, kind)
-            actions.append(Action(aid, kind, name))
-            ids.append(aid)
-        thimacs.append(Thimac(name, action_ids=tuple(ids)))
+        actions += [Action(name, kind) for kind in kinds]
+        thimacs.append(Thimac(name))
     return build_model(thimacs, actions,
                        [FlowEdge(*e) for e in flows],
                        [TriggerEdge(*e) for e in triggers])
@@ -35,16 +32,14 @@ def test_empty_model():
 
 
 def test_duplicate_action_id_rejected():
-    action = Action("A.create", K.CREATE, "A")
+    action = Action("A", K.CREATE)
     with pytest.raises(errors.DuplicateId):
-        build_model([Thimac("A", action_ids=("A.create",))],
-                    [action, action], [], [])
+        build_model([Thimac("A")], [action, action], [], [])
 
 
 def test_unresolvable_owner_rejected():
     with pytest.raises(errors.UnknownPath):
-        build_model([Thimac("A")], [Action("B.create", K.CREATE, "B")],
-                    [], [])
+        build_model([Thimac("A")], [Action("B", K.CREATE)], [], [])
 
 
 def test_duplicate_sibling_name_rejected():
@@ -190,6 +185,62 @@ def test_canonicalize_order_insensitive(beef):
                            tuple(reversed(static.flows)),
                            tuple(reversed(static.triggers)))
     assert canonicalize(shuffled) == canonicalize(static)
+
+
+#: thimac names, keywords among them: a name is a name wherever it stands
+_NAMES = st.sampled_from(["A", "b", "c2", "thimac", "store", "create"])
+
+_STORES = st.one_of(st.none(), st.builds(md.Store, st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False))))
+
+
+@st.composite
+def library_models(draw):
+    """A model built as a library caller builds one: nested thimacs, a
+    random set of kinds per thimac, some process updates, and unique
+    flows and triggers between the actions, the table in random order."""
+    actions = []
+
+    def thimacs(prefix, depth):
+        subs = []
+        for name in draw(st.lists(_NAMES, unique=True,
+                                  max_size=3 if depth < 3 else 0)):
+            path = prefix + name
+            for kind in draw(st.lists(st.sampled_from(K), unique=True)):
+                update = None
+                if kind is K.PROCESS and draw(st.booleans()):
+                    update = (path, draw(st.sampled_from(
+                        [ex.Lit(1), ex.PathRef(path)])))
+                actions.append(Action(path, kind, update))
+            subs.append(Thimac(name, draw(st.booleans()), draw(_STORES),
+                               thimacs(path + ".", depth + 1)))
+        return tuple(subs)
+
+    roots = thimacs("", 0)
+    pairs = []
+    if actions:
+        ids = [a.id for a in actions]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(ids),
+                                        st.sampled_from(ids)),
+                              unique=True, max_size=12))
+    triggers = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+    return build_model(
+        roots, draw(st.permutations(actions)),
+        [FlowEdge(*p) for p, trigger in zip(pairs, triggers) if not trigger],
+        [TriggerEdge(*p) for p, trigger in zip(pairs, triggers) if trigger])
+
+
+@settings(max_examples=200, deadline=None)
+@given(library_models())
+@example(build_model([Thimac("A")], [Action("A", K.PROCESS),
+                                     Action("A", K.CREATE)],
+                     [FlowEdge("A.create", "A.process")], []))
+def test_every_built_model_prints_to_text_that_parses_back(static):
+    text = dsl.print_text(static)
+    assert dsl.parse(text)[0] == canonicalize(static)
+    assert dsl.print_text(dsl.parse(text)[0]) == text
 
 
 def test_containment_is_a_tree(parsed_corpus):

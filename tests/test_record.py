@@ -22,10 +22,10 @@ def test_records_of_different_classes_are_never_equal():
 
 def test_equal_records_hash_equal():
     pairs = [(FlowEdge("a", "b"), FlowEdge(src="a", dst="b")),
-             (Thimac("A"), Thimac("A", False, None, (), ())),
-             (Action("A.process", ActionKind.PROCESS, "A",
+             (Thimac("A"), Thimac("A", False, None, ())),
+             (Action("A", ActionKind.PROCESS,
                      ("A", Binary("+", PathRef("A"), Lit(1)))),
-              Action("A.process", ActionKind.PROCESS, owner="A",
+              Action(owner="A", kind=ActionKind.PROCESS,
                      update=("A", Binary("+", PathRef("A"), Lit(1)))))]
     for one, other in pairs:
         assert one == other and hash(one) == hash(other)
@@ -48,9 +48,8 @@ def test_fields_take_positions_keywords_and_defaults():
 
 @pytest.mark.parametrize("value", [
     FlowEdge("a", "b"),
-    Thimac("A", True, Store("x"), ("A.create",),
-           (Thimac("b", store=Store()),)),
-    Action("A.create", ActionKind.CREATE, "A"),
+    Thimac("A", True, Store("x"), (Thimac("b", store=Store()),)),
+    Action("A", ActionKind.CREATE),
     TraceEntry(1, "E", ("A.create",), ()),
     dsl.SourceUnit("thimac A { }"),
 ], ids=lambda value: type(value).__name__)

@@ -66,7 +66,7 @@ def test_class_to_tm_human():
     assert stored == ["name", "weight", "gender"]
     eat = next(s for s in human.subthimacs if s.name == "eat")
     assert eat.store is None
-    kinds = {static.actions[a].kind for a in eat.action_ids}
+    kinds = {a.kind for a in static.actions_by_owner["Human.eat"]}
     assert kinds == {ActionKind.PROCESS}
     report = validate_static(static)
     assert report.ok
@@ -76,7 +76,7 @@ def test_class_to_tm_degenerate_class():
     static = class_to_tm(ClassModel((ClassDef("Thing"),)))
     thing = static.thimacs[0]
     assert thing.subthimacs == ()
-    assert [static.actions[a].kind for a in thing.action_ids] == \
+    assert [a.kind for a in static.actions_by_owner["Thing"]] == \
         [ActionKind.CREATE]
 
 
