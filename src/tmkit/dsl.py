@@ -434,28 +434,28 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
          terminals, repeatable) = parser.parse_file()
     except RecursionError:
         raise parser.error(parser.pos, "nesting too deep") from None
-    # an event guard is moved onto its incoming behavior edges that have
-    # no guard of their own; with no such edge it would be dropped
-    targets = {e.dst for e in behavior_edges or ()}
-    unguarded = {e.dst for e in behavior_edges or () if e.guard is None}
-    for d in event_decls:
-        if d.guard is None or d.id in unguarded:
-            continue
-        why = ("every incoming behavior edge has its own guard"
-               if d.id in targets else "it has no incoming behavior edge")
-        raise parser.error(d.guard_at,
-                           f"guard on event '{d.id}' is unused: {why}")
     static = md.build_model(thimacs, actions, flows, triggers)
 
     events = [eventize(static, d.id, d.label, d.covers, d.input_path)
               for d in event_decls]
     behavior = None
+    # an event guard is moved onto its incoming behavior edges that have
+    # no guard of their own; with no such edge it would be dropped
     if behavior_edges is not None or terminals or repeatable:
         guards = {d.id: d.guard for d in event_decls}
         edges = [e if e.guard is not None or guards.get(e.dst) is None
                  else BehaviorEdge(e.src, e.dst, guards[e.dst])
                  for e in behavior_edges or ()]
         behavior = build_behavior(events, edges, terminals, repeatable)
+    incoming = behavior.incoming if behavior is not None else {}
+    for d in event_decls:
+        if d.guard is None or any(e.guard is d.guard
+                                  for e in incoming.get(d.id, ())):
+            continue
+        why = ("every incoming behavior edge has its own guard"
+               if d.id in incoming else "it has no incoming behavior edge")
+        raise parser.error(d.guard_at,
+                           f"guard on event '{d.id}' is unused: {why}")
     return static, events, behavior
 
 

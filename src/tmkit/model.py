@@ -226,9 +226,12 @@ def _check_endpoints(edge, table):
 
 
 def validate_static(model: StaticModel) -> ValidationReport:
-    """Check stage legality of every flow; report isolated actions.
+    """Check stage legality of every flow and that every path an update
+    rule reads or writes names a store; report isolated actions.
 
-    Legality violations are errors; connectedness failures are warnings.
+    Legality violations and storeless update paths are errors;
+    connectedness failures are warnings. One pass over the thimacs, the
+    actions and the flows and triggers.
     """
     report = ValidationReport([])
     for edge in model.flows:
@@ -242,6 +245,18 @@ def validate_static(model: StaticModel) -> ValidationReport:
                 "ERROR", f"{edge.src} -> {edge.dst}",
                 f"illegal {scope}-thimac flow {src.kind.word} -> "
                 f"{dst.kind.word}", "IllegalStagePair")
+    stores = model.store_paths()
+    for action in model.actions.values():
+        if action.update is None:
+            continue
+        target, rule = action.update
+        for verb, paths in (("writes", [target]),
+                            ("reads", sorted(ex.paths_in(rule)))):
+            for path in paths:
+                if path not in stores:
+                    report.add("ERROR", action.id, f"update rule {verb} "
+                               f"storeless path '{path}'",
+                               "UpdatePathUnstored")
     touched = set()
     for edge in (*model.flows, *model.triggers):
         touched.update((edge.src, edge.dst))

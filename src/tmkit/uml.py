@@ -156,22 +156,28 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
 
     actions: list[md.Action] = []
     flows: list[md.FlowEdge] = []
-
-    def expand(cls: ClassDef, prefix: str) -> md.Thimac:
-        path = f"{prefix}.{cls.name}" if prefix else cls.name
-        actions.append(md.Action(path, md.ActionKind.CREATE))
-        subs = [_attribute_thimac(attr, path, actions, flows)
-                for attr in cls.attributes]
-        subs += [_method_thimac(method, path, actions)
-                 for method in cls.methods]
-        # a loop, not a comprehension: one frame per level of nesting
-        for sub in children.get(cls.name, []):
-            subs.append(expand(sub, path))
-        return md.Thimac(cls.name, specializes=prefix != "",
-                         subthimacs=tuple(subs))
-
-    roots = tuple(expand(cls, "") for cls in children.get(None, []))
+    roots = tuple(_expand(cls, "", children, actions, flows)
+                  for cls in children.get(None, []))
     return md.build_model(roots, actions, flows, [])
+
+
+def _expand(cls: ClassDef, prefix: str, children, actions, flows) \
+        -> md.Thimac:
+    """The thimac of `cls` and of its subclasses, whose actions and flows
+    are appended to `actions` and `flows`; `children` maps a class name
+    to its subclasses. A module function, not a closure, so that no cycle
+    keeps the scaffold alive after the call."""
+    path = f"{prefix}.{cls.name}" if prefix else cls.name
+    actions.append(md.Action(path, md.ActionKind.CREATE))
+    subs = [_attribute_thimac(attr, path, actions, flows)
+            for attr in cls.attributes]
+    subs += [_method_thimac(method, path, actions)
+             for method in cls.methods]
+    # a loop, not a comprehension: one frame per level of nesting
+    for sub in children.get(cls.name, []):
+        subs.append(_expand(sub, path, children, actions, flows))
+    return md.Thimac(cls.name, specializes=prefix != "",
+                     subthimacs=tuple(subs))
 
 
 def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -64,6 +65,71 @@ def test_check_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("A := C + 1", "update rule reads storeless path 'C'"),
+    ("B := 1", "update rule writes storeless path 'B'"),
+])
+@pytest.mark.parametrize("behavior", ["", "behavior { }\n"])
+def test_check_rejects_an_update_rule_path_with_no_store(
+        capsys, tmp_path, rule, message, behavior):
+    path = tmp_path / "rule.tm"
+    path.write_text(f"thimac A {{ store = 0; create; process = {rule}; }}\n"
+                    "flow A.create -> A.process;\n"
+                    "event E covers { A.create, A.process };\n" + behavior)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (1, f"ERROR\tA.process\t{message}\n", "")
+
+
+# -- the garbage collector --
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The caller's collector setting, in force during the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("source, argv, fault, code", [
+    ("thimac A { create; }\n", ["check"], None, 0),
+    ("thimac A { receive; transfer; }\nflow A.receive -> A.transfer;\n",
+     ["check"], None, 1),
+    ("thimac {", ["fmt"], None, 2),
+    ("", ["check", "--no-such-option"], None, 2),
+    ("thimac A { create; }\n", ["dot"], RuntimeError("boom"), 3),
+], ids=["ok", "semantic", "parse", "usage", "internal"])
+def test_main_gives_back_the_callers_gc_setting(
+        capsys, tmp_path, monkeypatch, caller_gc, source, argv, fault, code):
+    path = tmp_path / "model.tm"
+    path.write_text(source)
+    seen = []
+    parse = cli._parse
+
+    def spy(file):
+        seen.append(gc.isenabled())
+        if fault is not None:
+            raise fault
+        return parse(file)
+
+    monkeypatch.setattr(cli, "_parse", spy)
+    assert run(capsys, *argv, str(path))[0] == code
+    assert gc.isenabled() is caller_gc
+    # the command ran with the collector off; a usage error runs none
+    assert seen == ([] if argv[1:] else [False])
+
+
+def test_main_gives_back_the_gc_setting_on_an_interrupt(monkeypatch,
+                                                       caller_gc):
+    def interrupt(file):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_parse", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["check", "model.tm"])
+    assert gc.isenabled() is caller_gc
 
 
 # -- fmt --

@@ -126,6 +126,17 @@ def test_receive_to_transfer_is_violation():
     assert [d.code for d in report.errors] == ["IllegalStagePair"]
 
 
+def test_every_storeless_update_path_is_an_error():
+    static, _, _ = dsl.parse(
+        "thimac A { store = 0; process = B := Z + C - A + Z; }\n"
+        "thimac B { process = A := A + 1; }\n")
+    report = validate_static(static)
+    assert [(d.location, d.message, d.code) for d in report.errors] == [
+        ("A.process", f"update rule {verb} storeless path '{path}'",
+         "UpdatePathUnstored")
+        for verb, path in (("writes", "B"), ("reads", "C"), ("reads", "Z"))]
+
+
 # independently restated legality oracle (see the stage semantics: things
 # enter via transfer/receive, leave via release/transfer, create/process
 # stay interior; across thimacs only transfer meets transfer)

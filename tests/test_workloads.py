@@ -2,10 +2,12 @@
 outputs that `perfbench/gen.py` derives without calling tmkit."""
 
 import contextlib
+import gc
 import io
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmkit import cli
@@ -37,3 +39,34 @@ def test_every_command_matches_the_generators_reference(tmp_path_factory,
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         assert CHECKS[metric](wl, code, out.getvalue()), (metric, wl.source)
+
+
+def _cyclic_garbage(argv) -> int:
+    """How many objects the collector finds unreachable after `argv` ran."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("name, small, large", [("chain", 10, 40),
+                                                ("fanout", 2, 4)])
+def test_no_command_leaves_cyclic_garbage_that_grows_with_the_model(
+        tmp_path, name, small, large):
+    # `tm` runs with the collector off, so a model that only a cycle
+    # keeps alive would stay in memory until the process ends
+    found = {}
+    for size in (small, large):
+        work = tmp_path / str(size)
+        work.mkdir()
+        found[size] = {metric: _cyclic_garbage(argv) for metric, argv
+                       in commands(gen.build(name, 1, size), work)}
+    assert found[small] == found[large]
