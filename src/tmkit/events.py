@@ -175,7 +175,7 @@ def check_behavior(behavior: BehavioralModel,
                    model: StaticModel) -> ValidationReport:
     """Report guard resolution errors plus cycle/reachability warnings."""
     report = ValidationReport([])
-    stores = model.store_paths()
+    stores = model.stores
     covered = covered_edges(model, behavior.events)
 
     for event in behavior.events:

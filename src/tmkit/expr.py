@@ -100,57 +100,74 @@ def paths_in(expr: Expr) -> set[str]:
 
 
 def evaluate(expr: Expr, stores: dict) -> Value:
-    """Evaluate against a path -> value map.
+    """Evaluate against a path -> value map; see `compiled`."""
+    return compiled(expr)(stores)
 
-    Raises GuardEvalError for unknown or unset store reads, for operands
-    an operator cannot take and for a sum or difference not `in_range`.
-    """
-    kind = type(expr)  # faster than isinstance on this hot path
+
+def compiled(expr: Expr):
+    """The expression as a function of a path -> value map. Building
+    never raises; the function raises GuardEvalError for an unknown or
+    unset store, for operands an operator cannot take, for a sum not
+    `in_range` and for an unknown operator (a comparison's after both
+    operands, a run's before its operand). `and`/`or` give a bool.
+
+    Each function takes what it reads as default arguments, not closure
+    cells: on CPython 3.11 that halves the cost of building one, which a
+    rule that runs once per simulation pays in full."""
+    kind = type(expr)
     if kind is Lit:
-        return expr.value
+        return lambda stores, value=expr.value: value
     if kind is PathRef:
-        if expr.path not in stores:
-            raise GuardEvalError(f"no store at path '{expr.path}'")
-        value = stores[expr.path]
-        if value is UNSET:
-            raise GuardEvalError(f"store '{expr.path}' is unset")
-        return value
-    if kind is Binary:
-        left = evaluate(expr.left, stores)
-        right = evaluate(expr.right, stores)
-        compare = _CMP.get(expr.op)
-        if compare is None:
-            raise GuardEvalError(f"unknown operator {expr.op!r}")
-        try:
-            return compare(left, right)
-        except TypeError as exc:
-            raise GuardEvalError(
-                f"cannot compare {left!r} with {right!r}") from exc
+        def read(stores, path=expr.path):
+            if path not in stores:
+                raise GuardEvalError(f"no store at path '{path}'")
+            if (value := stores[path]) is UNSET:
+                raise GuardEvalError(f"store '{path}' is unset")
+            return value
+        return read
     if kind is Unary:
-        return not evaluate(expr.operand, stores)
-    value = evaluate(expr.first, stores)
-    for op, operand in expr.rest:
-        if op == "+" or op == "-":
-            right = evaluate(operand, stores)
+        operand = compiled(expr.operand)
+        return lambda stores, operand=operand: not operand(stores)
+    if kind is Binary:
+        def binary(stores, left=compiled(expr.left),
+                   right=compiled(expr.right), op=expr.op,
+                   compare=_CMP.get(expr.op)):
+            a, b = left(stores), right(stores)
+            if compare is None:
+                raise GuardEvalError(f"unknown operator {op!r}")
             try:
-                new = value + right if op == "+" else value - right
-                if type(new) is not str and not in_range(new):
-                    raise OverflowError
-            except (TypeError, OverflowError) as exc:
-                raise GuardEvalError(
-                    f"cannot compute {value!r} {op} {right!r}") from exc
-            value = new
-        elif op == "and":
-            if not value:
-                return False
-            value = bool(evaluate(operand, stores))
-        elif op == "or":
-            if value:
-                return True
-            value = bool(evaluate(operand, stores))
-        else:
-            raise GuardEvalError(f"unknown operator {op!r}")
-    return value
+                return compare(a, b)
+            except TypeError as exc:
+                raise GuardEvalError(f"cannot compare {a!r} with {b!r}") \
+                    from exc
+        return binary
+
+    def run(stores, first=compiled(expr.first), rest=tuple(
+            [(op, compiled(operand)) for op, operand in expr.rest])):
+        value = first(stores)
+        for op, operand in rest:
+            if op == "+" or op == "-":
+                right = operand(stores)
+                try:
+                    new = value + right if op == "+" else value - right
+                    if type(new) is not str and not in_range(new):
+                        raise OverflowError
+                except (TypeError, OverflowError) as exc:
+                    raise GuardEvalError(
+                        f"cannot compute {value!r} {op} {right!r}") from exc
+                value = new
+            elif op == "and":
+                if not value:
+                    return False
+                value = bool(operand(stores))
+            elif op == "or":
+                if value:
+                    return True
+                value = bool(operand(stores))
+            else:
+                raise GuardEvalError(f"unknown operator {op!r}")
+        return value
+    return run
 
 
 def to_text(expr: Expr) -> str:

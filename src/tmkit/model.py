@@ -125,7 +125,9 @@ class StaticModel:
             by_owner.setdefault(action.owner, []).append(action)
         return by_owner
 
-    def store_paths(self) -> dict[str, Store]:
+    @functools.cached_property
+    def stores(self) -> dict[str, Store]:
+        """Path -> store of each thimac that has one, in preorder."""
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
 
@@ -245,7 +247,7 @@ def validate_static(model: StaticModel) -> ValidationReport:
                 "ERROR", f"{edge.src} -> {edge.dst}",
                 f"illegal {scope}-thimac flow {src.kind.word} -> "
                 f"{dst.kind.word}", "IllegalStagePair")
-    stores = model.store_paths()
+    stores = model.stores
     for action in model.actions.values():
         if action.update is None:
             continue

@@ -20,21 +20,22 @@ may rewrite a store by its update rule.
 
 Cost. A run reads the behavior graph's `incoming` and `successors`
 indexes and builds one `events.covered_edges` index, which also gives
-the events each event's triggers reach; an event's firing steps are
-built on its first firing, in O(k log k + f log f) for its k covered
-actions and f covered flows, and reused. The run then keeps a candidate
-set of eligible events: at the start it holds the entry events, and
-after an event fires only its behavior successors and the fired events
-its triggers reach can join. A run therefore costs O(model) once, plus
-per step the size of the firing region and O(C log C) for the C
-candidates, which are sorted and tested in id order; nothing rescans
-the whole model per step.
+the events each event's triggers reach. Guards and update rules are
+compiled once per run (`expr.compiled`): an event's gate, its incoming
+edges with compiled guards, on its first candidacy, and its firing
+steps with compiled rules on its first firing, in O(k log k + f log f)
+for its k covered actions and f covered flows. The run keeps a set of
+candidates: the entry events, then only the behavior successors of a
+fired event and the fired events its triggers reach. A run costs
+O(model) once, plus per step the firing region, O(C log C) for the C
+candidates sorted by id and their gates' guard calls.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from json.encoder import encode_basestring_ascii
 
 from . import expr as ex
 from . import model as md
@@ -79,7 +80,7 @@ class Trace:
 
 def init_world(static: md.StaticModel, fills=None) -> WorldState:
     """Two-stage instantiation: empty template first, then fill values."""
-    declared = static.store_paths()
+    declared = static.stores
     world = WorldState(
         dict.fromkeys(declared, ex.UNSET),
         {path: None if store.value is None else md.value_type_of(store.value)
@@ -126,6 +127,7 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     covered = covered_edges(static, behavior.events)
     successors, repeatable = behavior.successors, behavior.repeatable
     steps: dict[str, tuple] = {}
+    gates: dict[str, tuple] = {}  # id -> (event, ((source, guard), ...))
     fired: set[str] = set()
     #: repeatable events a trigger has reached since they last fired
     triggered: set[str] = set()
@@ -135,7 +137,8 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     entries: list[TraceEntry] = []
 
     while True:
-        event = _next_enabled(behavior, candidates, fired, inputs, world)
+        event = _next_enabled(behavior, gates, candidates, fired, inputs,
+                              world)
         if event is None:
             terminals = behavior.terminal_events()
             outcome = "Completed" if fired & terminals else "Stuck"
@@ -163,9 +166,10 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
 
 def _steps(actions, event: EventRegion, flows):
     """(actions in firing order, firing steps) of one event; a step is
-    (action id, is a Create, sorted flow predecessors, update rule). The
-    order is the smallest topological order of the covered flows (Kahn's,
-    smallest ready action first), or the sorted covers on a cycle."""
+    (action id, is a Create, sorted flow predecessors, (target, compiled
+    rule) or None). The order is the smallest topological order of the
+    covered flows (Kahn's, smallest ready action first), or the sorted
+    covers on a cycle."""
     preds: dict[str, list[str]] = {}
     succs: dict[str, list[str]] = {}
     for edge in flows:
@@ -186,22 +190,24 @@ def _steps(actions, event: EventRegion, flows):
         order = sorted(event.covers)
     return tuple(order), tuple(
         (aid, actions[aid].kind is md.ActionKind.CREATE,
-         tuple(sorted(preds.get(aid, ()))), actions[aid].update)
+         tuple(sorted(preds.get(aid, ()))),
+         (update := actions[aid].update)
+         and (update[0], ex.compiled(update[1])))
         for aid in order)
 
 
-def _next_enabled(behavior, candidates, fired, inputs, world):
-    incoming = behavior.incoming
+def _next_enabled(behavior, gates, candidates, fired, inputs, world):
     for eid in sorted(candidates):
-        event = behavior.event(eid)
-        edges = incoming.get(eid)
+        if eid not in gates:
+            gates[eid] = behavior.event(eid), tuple(
+                (edge.src, edge.guard and ex.compiled(edge.guard))
+                for edge in behavior.incoming.get(eid, ()))
+        event, edges = gates[eid]
         if edges:
-            satisfied = any(
-                edge.src in fired and (
-                    edge.guard is None
-                    or ex.evaluate(edge.guard, world.stores))
-                for edge in edges)
-            if not satisfied:
+            for src, guard in edges:
+                if src in fired and (guard is None or guard(world.stores)):
+                    break
+            else:
                 continue
             if event.input_path is not None and eid not in inputs:
                 raise MissingInput(f"event '{eid}' needs an input payload")
@@ -228,24 +234,29 @@ def _fire(event: EventRegion, plan, step: int, world: WorldState,
                     tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
         if update is not None:
             target, rule = update
-            deltas.append(_write_store(world, target,
-                                       ex.evaluate(rule, world.stores)))
+            deltas.append(_write_store(world, target, rule(world.stores)))
     return TraceEntry(step, event.id, order, tuple(deltas))
 
 
 # -- trace serialization --
 
-def _value_repr(value) -> str:
-    if value is ex.UNSET:
-        return "unset"
-    return json.dumps(value)
+def _scalar(value, unset: str) -> str:
+    """`json.dumps(value)` for a store value, and `unset` for UNSET."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float:
+        return repr(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    return unset if value is ex.UNSET else json.dumps(value)
 
 
 def trace_to_text(trace: Trace) -> str:
     lines = []
     for entry in trace.entries:
         deltas = ";".join(
-            f"{d.path}={_value_repr(d.old)}→{_value_repr(d.new)}"
+            f"{d.path}={_scalar(d.old, 'unset')}→{_scalar(d.new, 'unset')}"
             for d in entry.deltas)
         lines.append(f"{entry.step}\t{entry.event}\t"
                      f"fired:{','.join(entry.actions_fired)}\t"
@@ -254,14 +265,28 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_to_json(trace: Trace) -> str:
-    def jsonable(value):
-        return None if value is ex.UNSET else value
+    """`json.dumps(entries, indent=2)` of the entries, UNSET as null,
+    written without `json`'s encoder, which is pure Python with indent."""
+    fired_blocks: dict[tuple[str, ...], str] = {}  # one per event fired
+    entries = []
+    for e in trace.entries:
+        if e.actions_fired not in fired_blocks:
+            fired_blocks[e.actions_fired] = _json_list(
+                list(map(encode_basestring_ascii, e.actions_fired)), "    ")
+        deltas = _json_list([
+            f'{{\n        "path": {encode_basestring_ascii(d.path)},\n'
+            f'        "old": {_scalar(d.old, "null")},\n'
+            f'        "new": {_scalar(d.new, "null")}\n      }}'
+            for d in e.deltas], "    ")
+        entries.append(
+            f'{{\n    "step": {e.step!r},\n'
+            f'    "event": {encode_basestring_ascii(e.event)},\n'
+            f'    "fired": {fired_blocks[e.actions_fired]},\n'
+            f'    "deltas": {deltas}\n  }}')
+    return _json_list(entries, "") + "\n"
 
-    entries = [{
-        "step": e.step,
-        "event": e.event,
-        "fired": list(e.actions_fired),
-        "deltas": [{"path": d.path, "old": jsonable(d.old),
-                    "new": jsonable(d.new)} for d in e.deltas],
-    } for e in trace.entries]
-    return json.dumps(entries, indent=2) + "\n"
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Written items as an indent-2 JSON array that closes at `indent`."""
+    pad = f"\n{indent}  "
+    return f"[{pad}{f',{pad}'.join(items)}\n{indent}]" if items else "[]"

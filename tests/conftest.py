@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from tmkit import corpus, dsl
+
+# CI selects this profile with --hypothesis-profile=ci: the same examples
+# on every run, and a failure prints the blob that replays it. Local runs
+# keep hypothesis's random default.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -385,7 +385,7 @@ def test_simulate_never_exits_3_on_any_value(tmp_path_factory, name, data):
     text = _SUMS if name == "sums" else corpus.fixture_text(name)
     path.write_text(text)
     static, events, _ = dsl.parse(text)
-    stores = st.sampled_from([*static.store_paths(), "Nowhere"])
+    stores = st.sampled_from([*static.stores, "Nowhere"])
     ids = st.sampled_from([*(event.id for event in events), "E99"])
     argv = ["simulate", str(path), "--max-steps",
             str(data.draw(st.integers(1, 50))), *_COMPLETES[name]]
@@ -689,6 +689,31 @@ def test_simulate_bank_withdrawal(capsys, bank_path):
     assert code == 0
     assert "E21" in out
     assert "E23" not in out
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["check"], 2),
+    (["simulate", "--world", "BankAccount=savings",
+      "--world", "BankAccount.SavingsAccount=withdrawal",
+      "--world", "BankAccount.balance=100", "--input", "E9:150"], 2),
+    (["fmt"], 1),
+])
+def test_a_command_walks_the_thimac_tree_at_most_twice(
+        capsys, monkeypatch, bank_path, argv, walks):
+    """`build_model` walks once; the store index, read by the checks and
+    by `init_world`, walks once more."""
+    from tmkit import model
+    calls = []
+
+    def counted(thimacs):
+        calls.append(1)
+        return walk(thimacs)
+
+    walk = model._walk
+    monkeypatch.setattr(model, "_walk", counted)
+    code, _, err = run(capsys, argv[0], bank_path, *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(calls) == walks
 
 
 def test_simulate_beef_sequence(capsys, beef_path):

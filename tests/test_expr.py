@@ -1,12 +1,14 @@
+import operator
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
+from tmkit.errors import GuardEvalError
 from tmkit.events import BehaviorEdge
 from tmkit.expr import (UNSET, Binary, Chain, Lit, PathRef, Unary, chain,
-                        evaluate, in_range, paths_in, to_text)
+                        compiled, evaluate, in_range, paths_in, to_text)
 
 
 def _chain(op, operand, n):
@@ -213,3 +215,127 @@ def test_parse_of_to_text_is_the_same_expression(expr):
     parsed = _guard(to_text(expr))
     assert parsed == expr and hash(parsed) == hash(expr)
     assert to_text(parsed) == to_text(expr)
+
+
+# -- compiled closures against the recursive interpreter they replace --
+
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+        "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
+def _reference_evaluate(expr, stores):
+    """The recursive tree interpreter that `compiled` replaced: the oracle
+    of the property below for one change, then deleted."""
+    kind = type(expr)
+    if kind is Lit:
+        return expr.value
+    if kind is PathRef:
+        if expr.path not in stores:
+            raise GuardEvalError(f"no store at path '{expr.path}'")
+        value = stores[expr.path]
+        if value is UNSET:
+            raise GuardEvalError(f"store '{expr.path}' is unset")
+        return value
+    if kind is Binary:
+        left = _reference_evaluate(expr.left, stores)
+        right = _reference_evaluate(expr.right, stores)
+        compare = _CMP.get(expr.op)
+        if compare is None:
+            raise GuardEvalError(f"unknown operator {expr.op!r}")
+        try:
+            return compare(left, right)
+        except TypeError as exc:
+            raise GuardEvalError(
+                f"cannot compare {left!r} with {right!r}") from exc
+    if kind is Unary:
+        return not _reference_evaluate(expr.operand, stores)
+    value = _reference_evaluate(expr.first, stores)
+    for op, operand in expr.rest:
+        if op == "+" or op == "-":
+            right = _reference_evaluate(operand, stores)
+            try:
+                new = value + right if op == "+" else value - right
+                if type(new) is not str and not in_range(new):
+                    raise OverflowError
+            except (TypeError, OverflowError) as exc:
+                raise GuardEvalError(
+                    f"cannot compute {value!r} {op} {right!r}") from exc
+            value = new
+        elif op == "and":
+            if not value:
+                return False
+            value = bool(_reference_evaluate(operand, stores))
+        elif op == "or":
+            if value:
+                return True
+            value = bool(_reference_evaluate(operand, stores))
+        else:
+            raise GuardEvalError(f"unknown operator {op!r}")
+    return value
+
+
+_TOP = int(sys.float_info.max)
+_ORACLE_PATHS = ["A", "B.c", "D", "Missing"]
+#: numbers near and past the range of a float, text, booleans
+_ORACLE_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(-2 * _TOP, 2 * _TOP),
+    st.sampled_from([_TOP, -_TOP, 1.7e308, -1.7e308, 0.5, -0.0]),
+    st.floats(allow_nan=False), st.booleans(), st.text(max_size=3))
+
+#: Trees built directly, not through `chain`: mixed and unknown
+#: operators in one run, comparisons under unknown operators.
+_ANY_TREE = st.recursive(
+    st.one_of(st.builds(Lit, _ORACLE_VALUES),
+              st.builds(PathRef, st.sampled_from(_ORACLE_PATHS))),
+    lambda inner: st.one_of(
+        st.builds(Unary, st.just("not"), inner),
+        st.builds(Binary, st.sampled_from([*_CMP, "^", "+", "and"]),
+                  inner, inner),
+        st.builds(Chain, inner, st.lists(st.tuples(
+            st.sampled_from(["+", "-", "and", "or", "^", "<"]), inner),
+            min_size=1, max_size=4).map(tuple))),
+    max_leaves=14)
+
+#: stores that leave some paths missing and some unset
+_ORACLE_STORES = st.dictionaries(
+    st.sampled_from(_ORACLE_PATHS[:-1]),
+    st.one_of(_ORACLE_VALUES, st.just(UNSET)))
+
+
+def _outcome(function, *args):
+    """(type, value) of the result, or (type, message) of the error."""
+    try:
+        result = function(*args)
+    except Exception as exc:  # noqa: BLE001 -- any error must match
+        return type(exc), str(exc)
+    return type(result), result
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_TREE, _ORACLE_STORES)
+def test_compiled_agrees_with_the_reference_interpreter(expr, stores):
+    function = compiled(expr)  # building never raises
+    assert _outcome(function, stores) == \
+        _outcome(_reference_evaluate, expr, stores)
+    assert _outcome(evaluate, expr, stores) == \
+        _outcome(_reference_evaluate, expr, stores)
+
+
+def test_a_binary_reads_both_operands_before_its_unknown_operator():
+    with pytest.raises(GuardEvalError, match="'B' is unset"):
+        compiled(Binary("^", PathRef("A"), PathRef("B")))({"A": 1, "B": UNSET})
+    with pytest.raises(GuardEvalError, match="unknown operator '\\^'"):
+        compiled(Binary("^", PathRef("A"), PathRef("B")))({"A": 1, "B": 2})
+
+
+def test_a_chain_stops_at_its_unknown_operator_before_the_operand():
+    function = compiled(Chain(Lit(1), (("^", PathRef("Missing")),)))
+    with pytest.raises(GuardEvalError, match="unknown operator '\\^'"):
+        function({})
+
+
+def test_one_closure_serves_every_store_map():
+    rule = compiled(chain(PathRef("C"), [("+", Lit(1))]))
+    assert [rule({"C": n}) for n in (0, 1.5, -3)] == [1, 2.5, -2]
+    with pytest.raises(GuardEvalError, match="cannot compute 'x' \\+ 1"):
+        rule({"C": "x"})

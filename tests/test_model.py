@@ -84,7 +84,7 @@ def test_a_chain_of_thimacs_deeper_than_the_stack_is_walked_in_preorder():
     chain = ["a" + ".a" * level for level in range(depth)]
     leaves = [chain[level] + ".z" for level in range(depth - 1000, -1, -1000)]
     assert [path for path, _ in static.iter_thimacs()] == chain + leaves
-    stores = static.store_paths()
+    stores = static.stores
     assert list(stores) == chain + leaves
     assert [s.value for s in stores.values()] == [*range(depth)] + ["z"] * 5
 
@@ -277,5 +277,5 @@ def test_value_type_of_names_what_a_store_may_hold(value, expected):
 
 def test_every_parsed_store_value_has_a_value_type(parsed_corpus):
     for static, _, _ in parsed_corpus.values():
-        for store in static.store_paths().values():
+        for store in static.stores.values():
             assert md.value_type_of(store.value) in md.VALUE_TYPES

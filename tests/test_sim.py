@@ -1,8 +1,11 @@
+import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors, sim
 from tmkit import expr as ex
@@ -351,6 +354,8 @@ def test_trace_matches_golden(parsed_corpus, name, fixture, fills, inputs):
     assert trace.outcome == "Completed"
     assert sim.trace_to_text(trace) == \
         (GOLDEN / f"{name}.trace").read_text(encoding="utf-8")
+    assert sim.trace_to_json(trace) == \
+        (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 # -- invariants --
@@ -446,7 +451,6 @@ def test_trace_text_format(human):
 
 
 def test_trace_json_format(human):
-    import json
     static, _, behavior = human
     world = sim.init_world(static, dict(BOB))
     trace = sim.simulate(static, behavior, world, {"Eat": "snack"})
@@ -455,3 +459,57 @@ def test_trace_json_format(human):
     assert entries[0]["event"] == "Eat"
     assert {"path": "Human.weight", "old": 150, "new": 151} \
         in entries[0]["deltas"]
+
+
+_TOP = int(sys.float_info.max)
+#: store values: text with quotes, backslashes, control characters and
+#: non-ASCII letters, booleans, None, integers to the edge of the float
+#: range and finite floats, the exponent forms among them
+_STORE_VALUES = st.one_of(
+    st.text(), st.text(alphabet='"\\\x00\x1f\x7f\n\té€😀\u2028'),
+    st.booleans(), st.none(), st.integers(-_TOP, _TOP),
+    st.sampled_from([1e-05, 1e+16, -0.0, 0.1, 1e300, -2.5e-300, 5e-324,
+                     _TOP, -_TOP, sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_STORE_VALUES)
+def test_a_store_value_is_written_as_json_dumps_writes_it(value):
+    assert sim._scalar(value, "unset") == json.dumps(value)
+    assert sim._scalar(ex.UNSET, "unset") == "unset"
+
+
+_NAMES = st.text(min_size=1, max_size=8)
+_TRACES = st.builds(
+    sim.Trace,
+    st.lists(st.builds(
+        sim.TraceEntry, st.integers(1, 10 ** 6), _NAMES,
+        st.lists(_NAMES, max_size=4).map(tuple),
+        st.lists(st.builds(
+            sim.StoreDelta, _NAMES, st.one_of(_STORE_VALUES, st.just(UNSET)),
+            _STORE_VALUES), max_size=3).map(tuple)),
+        max_size=5).map(tuple),
+    st.sampled_from(["Completed", "Stuck", "StepBudgetExhausted"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRACES)
+def test_trace_writers_match_json_dumps(trace):
+    def plain(value):
+        return None if value is UNSET else value
+
+    assert sim.trace_to_json(trace) == json.dumps([{
+        "step": e.step, "event": e.event, "fired": list(e.actions_fired),
+        "deltas": [{"path": d.path, "old": plain(d.old), "new": plain(d.new)}
+                   for d in e.deltas],
+    } for e in trace.entries], indent=2) + "\n"
+
+    def shown(value):
+        return "unset" if value is UNSET else json.dumps(value)
+
+    assert sim.trace_to_text(trace) == "".join(
+        f"{e.step}\t{e.event}\tfired:{','.join(e.actions_fired)}\tdeltas:"
+        + ";".join(f"{d.path}={shown(d.old)}→{shown(d.new)}"
+                   for d in e.deltas) + "\n"
+        for e in trace.entries)

@@ -229,7 +229,7 @@ def _exprs(paths):
 @st.composite
 def _behaviors(draw, static, labels):
     """Events (with labels and inputs) and a behavior over them, or None."""
-    paths = sorted(static.store_paths()) or ["Nowhere"]
+    paths = sorted(static.stores) or ["Nowhere"]
     events = [eventize(static, f"E{i}", label, [aid], draw(st.one_of(
                   st.none(), st.sampled_from(paths))))
               for i, (label, aid) in enumerate(zip(labels, static.actions))]
