@@ -64,6 +64,12 @@ _ESCAPE_RE = re.compile(r"\\([\s\S])")
 #: is the parse error `nesting too deep`.
 MAX_THIMAC_DEPTH = 981
 
+#: How deep `(` and `not` may nest in a guard or an update rule, each
+#: counting one level. Every command and every `expr` function handles an
+#: expression this deep in a fresh interpreter; one level deeper is the
+#: parse error `nesting too deep`.
+MAX_EXPR_DEPTH = 100
+
 
 @record
 class SourceUnit:
@@ -171,6 +177,7 @@ class _Parser:
         self.text = text
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # the `(` and `not` open in the expression read
 
     # -- token plumbing --
 
@@ -204,6 +211,12 @@ class _Parser:
         want = value if value is not None else type_
         raise self.error(self.pos, f"expected {want!r}, found {tok[1]!r}",
                          expected=[want])
+
+    def enter(self):
+        """Count the `(` or `not` just taken as one more level open."""
+        if self.depth == MAX_EXPR_DEPTH:
+            raise self.error(self.pos - 1, "nesting too deep")
+        self.depth += 1
 
     def keyword(self):
         """The next token's name, or None if it is not a NAME."""
@@ -390,7 +403,10 @@ class _Parser:
 
     def parse_not(self) -> ex.Expr:
         if self.take("NAME", "not"):
-            return ex.Unary("not", self.parse_not())
+            self.enter()
+            operand = self.parse_not()
+            self.depth -= 1
+            return ex.Unary("not", operand)
         return self.parse_comparison()
 
     def parse_comparison(self) -> ex.Expr:
@@ -412,8 +428,10 @@ class _Parser:
         if value is not None:
             return ex.Lit(value)
         if self.take("("):
+            self.enter()
             inner = self.parse_or()
             self.expect(")")
+            self.depth -= 1
             return inner
         if self.at("NAME"):
             return ex.PathRef(self.parse_path())

@@ -34,11 +34,11 @@ candidates sorted by id and their gates' guard calls.
 from __future__ import annotations
 
 import heapq
-import json
 from json.encoder import encode_basestring_ascii
 
 from . import expr as ex
 from . import model as md
+from ._json import json_list, scalar
 from ._record import record
 from .errors import FillPathUnstored, MissingInput, SimError, TypeMismatch
 from .events import BehavioralModel, EventRegion, covered_edges
@@ -102,14 +102,15 @@ def _write_store(world: WorldState, path: str, value) -> StoreDelta:
         raise TypeMismatch(f"store '{path}' holds a number in float range, "
                            f"text, a boolean or a reference, got {shown}")
     declared = world.declared_types[path]
-    if declared is not None and new_type != declared:
+    old = world.stores[path]
+    if declared is None:  # a typed store's old value passed the check below
+        if old is not ex.UNSET and md.value_type_of(old) != new_type:
+            raise TypeMismatch(f"store '{path}' was "
+                               f"{md.value_type_of(old)}, got {new_type}")
+    elif new_type != declared:
         raise TypeMismatch(
             f"store '{path}' holds {declared} values, got {new_type} "
             f"{value!r}")
-    old = world.stores[path]
-    if old is not ex.UNSET and md.value_type_of(old) != new_type:
-        raise TypeMismatch(
-            f"store '{path}' was {md.value_type_of(old)}, got {new_type}")
     world.stores[path] = value
     return StoreDelta(path, old, value)
 
@@ -240,23 +241,11 @@ def _fire(event: EventRegion, plan, step: int, world: WorldState,
 
 # -- trace serialization --
 
-def _scalar(value, unset: str) -> str:
-    """`json.dumps(value)` for a store value, and `unset` for UNSET."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int or kind is float:
-        return repr(value)
-    if kind is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
-    return unset if value is ex.UNSET else json.dumps(value)
-
-
 def trace_to_text(trace: Trace) -> str:
     lines = []
     for entry in trace.entries:
         deltas = ";".join(
-            f"{d.path}={_scalar(d.old, 'unset')}→{_scalar(d.new, 'unset')}"
+            f"{d.path}={scalar(d.old, 'unset')}→{scalar(d.new, 'unset')}"
             for d in entry.deltas)
         lines.append(f"{entry.step}\t{entry.event}\t"
                      f"fired:{','.join(entry.actions_fired)}\t"
@@ -271,22 +260,16 @@ def trace_to_json(trace: Trace) -> str:
     entries = []
     for e in trace.entries:
         if e.actions_fired not in fired_blocks:
-            fired_blocks[e.actions_fired] = _json_list(
+            fired_blocks[e.actions_fired] = json_list(
                 list(map(encode_basestring_ascii, e.actions_fired)), "    ")
-        deltas = _json_list([
+        deltas = json_list([
             f'{{\n        "path": {encode_basestring_ascii(d.path)},\n'
-            f'        "old": {_scalar(d.old, "null")},\n'
-            f'        "new": {_scalar(d.new, "null")}\n      }}'
+            f'        "old": {scalar(d.old, "null")},\n'
+            f'        "new": {scalar(d.new, "null")}\n      }}'
             for d in e.deltas], "    ")
         entries.append(
             f'{{\n    "step": {e.step!r},\n'
             f'    "event": {encode_basestring_ascii(e.event)},\n'
             f'    "fired": {fired_blocks[e.actions_fired]},\n'
             f'    "deltas": {deltas}\n  }}')
-    return _json_list(entries, "") + "\n"
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """Written items as an indent-2 JSON array that closes at `indent`."""
-    pad = f"\n{indent}  "
-    return f"[{pad}{f',{pad}'.join(items)}\n{indent}]" if items else "[]"
+    return json_list(entries, "") + "\n"

@@ -22,6 +22,9 @@ hierarchy whose scaffold would nest deeper than `dsl.MAX_THIMAC_DEPTH`
 deep, 980 if the deepest has an attribute or a method. A scaffold names
 each flow's ends by full path, so its text is O(classes × depth of the
 hierarchy), at most 981 times the linear size.
+
+JSON. `write_class_json` writes `json.dumps(payload, indent=2,
+sort_keys=True)`'s bytes through `_json`'s helpers, in linear time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 
 from . import dsl
 from . import model as md
+from ._json import json_list, scalar
 from ._record import record
 from .errors import (AmbiguousSubthimac, CyclicGeneralization,
                      SchemaError, UmlError)
@@ -204,18 +208,34 @@ def _method_thimac(method: MethodDef, prefix, actions):
 # -- JSON interchange --
 
 def write_class_json(cm: ClassModel) -> str:
-    payload = {"classes": [{
-        "name": cls.name,
-        "parent": cls.parent,
-        "attributes": [{"name": a.name, "type": a.value_type}
-                       for a in cls.attributes],
-        "methods": [{
-            "name": m.name,
-            "params": [{"name": n, "type": t} for n, t in m.params],
-            "returns": m.returns,
-        } for m in cls.methods],
-    } for cls in cm.classes]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The model as `json.dumps(..., indent=2, sort_keys=True)` writes
+    its payload, built line by line over `_json`'s helpers."""
+    classes = []
+    for cls in cm.classes:
+        attributes = json_list([_typed(a.name, a.value_type, "        ")
+                                for a in cls.attributes], "      ")
+        methods = []
+        for m in cls.methods:
+            params = json_list([_typed(name, value_type, "            ")
+                                for name, value_type in m.params],
+                               "          ")
+            methods.append(
+                f'{{\n          "name": {scalar(m.name, "null")},\n'
+                f'          "params": {params},\n'
+                f'          "returns": {scalar(m.returns, "null")}\n'
+                '        }')
+        classes.append(
+            f'{{\n      "attributes": {attributes},\n'
+            f'      "methods": {json_list(methods, "      ")},\n'
+            f'      "name": {scalar(cls.name, "null")},\n'
+            f'      "parent": {scalar(cls.parent, "null")}\n    }}')
+    return f'{{\n  "classes": {json_list(classes, "  ")}\n}}\n'
+
+
+def _typed(name, value_type, indent: str) -> str:
+    """An attribute or a parameter: its object that closes at `indent`."""
+    return (f'{{\n{indent}  "name": {scalar(name, "null")},\n'
+            f'{indent}  "type": {scalar(value_type, "null")}\n{indent}}}')
 
 
 def read_class_json(text: str) -> ClassModel:

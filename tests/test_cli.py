@@ -3,6 +3,7 @@ import errno
 import gc
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -428,6 +429,20 @@ def test_to_class_bank_matches_golden(capsys, bank_path):
     assert out == golden
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["beef", "human", "person", "stack"])
+def test_to_class_matches_golden(capsys, monkeypatch, name):
+    # without handlers of its own, logging warns through its last resort,
+    # which writes to sys.stderr, as in a `tm` process
+    monkeypatch.setattr(logging.root, "handlers", [])
+    code, out, err = run(capsys, "to-class", corpus.fixture_path(name))
+    assert (code, out, err) == (
+        0, (GOLDEN / f"{name}_classes.json").read_text(encoding="utf-8"),
+        (GOLDEN / f"{name}_classes.stderr").read_text(encoding="utf-8"))
+
+
 def test_to_tm_then_to_class_is_identity(capsys, tmp_path, bank_path):
     code, class_json, _ = run(capsys, "to-class", bank_path)
     json_file = tmp_path / "bank.json"
@@ -666,6 +681,61 @@ def test_thimacs_nested_past_the_bound_are_a_parse_error(tmp_path, classes):
         assert result.returncode == 2, command
         assert result.stderr.startswith("parse error: 1:"), command
         assert result.stderr.endswith(": nesting too deep\n"), command
+
+
+def _deep_expressions(parens=0, nots=0, sums=0):
+    """`.tm` text whose first guard nests `parens` parentheses, whose
+    second nests `nots` `not`s and whose update rule nests `sums` sums,
+    each in parentheses; all three run under `simulate --world A=1`."""
+    return ("thimac A { store = 1; create; process = A := A + "
+            + "(1 + " * sums + "1" + ")" * sums + "; }\n"
+            "thimac B { create; }\n"
+            "flow A.create -> A.process;\n"
+            "event D covers { A.create };\nevent E covers { A.process };\n"
+            "event F covers { B.create };\n"
+            "behavior {\n  D -> E guard " + "(" * parens + "A = 1"
+            + ")" * parens + ";\n  D -> F guard " + "not " * nots
+            + "A > 0;\n}\nterminal F;\n")
+
+
+_EXPRESSION_COMMANDS = (
+    ["check"], ["fmt"], ["dot"], ["dot", "--target", "behavior"],
+    ["simulate", "--world", "A=1"],
+    ["simulate", "--world", "A=1", "--trace-format", "json"], ["to-class"])
+
+
+def test_every_command_takes_expressions_nested_to_the_bound(capsys,
+                                                            tmp_path):
+    depth = dsl.MAX_EXPR_DEPTH
+    path = tmp_path / "deep.tm"
+    path.write_text(_deep_expressions(depth, depth, depth))
+    for argv in _EXPRESSION_COMMANDS:
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+        result = _tm(argv[0], str(path), *argv[1:])
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (0, out, ""), argv
+        if argv == ["simulate", "--world", "A=1"]:
+            assert [line.split("\t")[1] for line in out.splitlines()] == \
+                ["D", "E", "F"]
+
+
+@pytest.mark.parametrize("shape", ["parens", "nots", "sums"])
+def test_expressions_nested_past_the_bound_are_a_parse_error(
+        capsys, tmp_path, shape):
+    text = _deep_expressions(**{shape: dsl.MAX_EXPR_DEPTH + 1})
+    path = tmp_path / "deep.tm"
+    path.write_text(text)
+    opener = text.rindex("not" if shape == "nots" else "(")
+    line = text.count("\n", 0, opener) + 1
+    column = opener - text.rfind("\n", 0, opener)
+    message = f"parse error: {line}:{column}: nesting too deep\n"
+    for argv in _EXPRESSION_COMMANDS:
+        assert run(capsys, argv[0], str(path), *argv[1:]) == \
+            (2, "", message), argv
+    result = _tm("check", str(path))
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", message)
 
 
 def test_out_flag_writes_file_only(capsys, tmp_path, bank_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tmkit import dsl, errors, sim
 from tmkit import expr as ex
 from tmkit import model as md
+from tmkit._json import scalar
 from tmkit.events import build_behavior, covered_edges, eventize
 from tmkit.expr import UNSET, Binary, Lit, PathRef
 from tmkit.model import ActionKind
@@ -60,6 +61,26 @@ def test_init_world_type_mismatch(human):
     static, _, _ = human
     with pytest.raises(errors.TypeMismatch):
         sim.init_world(static, {"Human.weight": "heavy"})
+
+
+def test_a_typed_store_takes_only_values_of_its_type():
+    static, _, _ = dsl.parse("thimac A { store = 0; }")
+    world = sim.init_world(static, {"A": 1})
+    with pytest.raises(errors.TypeMismatch) as exc:
+        sim._write_store(world, "A", "x")
+    assert str(exc.value) == "store 'A' holds number values, got text 'x'"
+    assert world.stores == {"A": 1}
+
+
+def test_an_untyped_store_keeps_the_type_of_its_first_value():
+    static, _, _ = dsl.parse("thimac A { store; }")
+    world = sim.init_world(static, {"A": True})
+    assert sim._write_store(world, "A", False) == \
+        sim.StoreDelta("A", True, False)
+    with pytest.raises(errors.TypeMismatch) as exc:
+        sim._write_store(world, "A", 1)
+    assert str(exc.value) == "store 'A' was boolean, got number"
+    assert world.stores == {"A": False}
 
 
 @pytest.mark.parametrize("value", [
@@ -476,8 +497,8 @@ _STORE_VALUES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(_STORE_VALUES)
 def test_a_store_value_is_written_as_json_dumps_writes_it(value):
-    assert sim._scalar(value, "unset") == json.dumps(value)
-    assert sim._scalar(ex.UNSET, "unset") == "unset"
+    assert scalar(value, "unset") == json.dumps(value)
+    assert scalar(ex.UNSET, "unset") == "unset"
 
 
 _NAMES = st.text(min_size=1, max_size=8)

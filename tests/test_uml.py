@@ -276,6 +276,45 @@ def test_json_round_trip_bank(bank):
     assert read_class_json(write_class_json(cm)) == cm
 
 
+def _dumped(cm):
+    """The class JSON as the encoder of the `json` module writes it: the
+    reference for `write_class_json`."""
+    payload = {"classes": [{
+        "name": cls.name,
+        "parent": cls.parent,
+        "attributes": [{"name": a.name, "type": a.value_type}
+                       for a in cls.attributes],
+        "methods": [{
+            "name": m.name,
+            "params": [{"name": n, "type": t} for n, t in m.params],
+            "returns": m.returns,
+        } for m in cls.methods],
+    } for cls in cm.classes]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+#: any text, and text of non-ASCII letters, quotes, backslashes, control
+#: characters and the line separator U+2028, all of which JSON escapes
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.text(alphabet='"\\\x00\x1f\x7f\n\té€😀\u2028',
+                          max_size=6))
+_MAYBE_TEXT = st.one_of(st.none(), _TEXT)
+_ANY_CLASS_MODELS = st.builds(ClassModel, st.lists(st.builds(
+    ClassDef, _TEXT,
+    st.lists(st.builds(AttributeDef, _TEXT, _TEXT), max_size=3).map(tuple),
+    st.lists(st.builds(
+        MethodDef, _TEXT,
+        st.lists(st.tuples(_TEXT, _TEXT), max_size=3).map(tuple),
+        _MAYBE_TEXT), max_size=3).map(tuple),
+    _MAYBE_TEXT), max_size=4).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANY_CLASS_MODELS)
+def test_class_json_is_what_json_dumps_writes(cm):
+    assert write_class_json(cm) == _dumped(cm)
+
+
 def test_json_write_deterministic(bank):
     static, _, _ = bank
     cm = tm_to_class(static)
