@@ -443,6 +443,30 @@ def test_to_class_matches_golden(capsys, monkeypatch, name):
         (GOLDEN / f"{name}_classes.stderr").read_text(encoding="utf-8"))
 
 
+#: golden file slug -> the command whose output it holds
+_PINNED_COMMANDS = {
+    "check": ["check"],
+    "fmt": ["fmt"],
+    "dot": ["dot"],
+    "dot_stores_tb": ["dot", "--show-stores", "--rankdir", "TB"],
+    "dot_behavior": ["dot", "--target", "behavior"],
+}
+#: "<fixture> <slug>" -> [exit code, stderr]
+_PINNED_STATUS = json.loads(
+    (GOLDEN / "cli_status.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("slug", _PINNED_COMMANDS)
+@pytest.mark.parametrize("name", corpus.FIXTURES)
+def test_command_output_matches_golden(capsys, name, slug):
+    path = corpus.fixture_path(name)
+    stdout = Path(path + ".golden") if (name, slug) == ("beef", "fmt") \
+        else GOLDEN / f"{name}_{slug}.stdout"
+    code, out, err = run(capsys, *_PINNED_COMMANDS[slug], path)
+    assert [code, err] == _PINNED_STATUS[f"{name} {slug}"]
+    assert out == stdout.read_text(encoding="utf-8")
+
+
 def test_to_tm_then_to_class_is_identity(capsys, tmp_path, bank_path):
     code, class_json, _ = run(capsys, "to-class", bank_path)
     json_file = tmp_path / "bank.json"
