@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 #: public name -> the module that defines it
 _MODULE_OF = {name: module for module, names in {
-    "model": ("ActionKind", "Action", "FlowEdge", "Store", "StaticModel",
-              "Thimac", "TriggerEdge", "ValidationReport", "build_model",
+    "model": ("Action", "FlowEdge", "Store", "StaticModel", "Thimac",
+              "TriggerEdge", "ValidationReport", "build_model",
               "canonicalize", "validate_static"),
     "dsl": ("ParseError", "SourceUnit", "parse", "print_text"),
     "events": ("BehavioralModel", "BehaviorEdge", "EventRegion",

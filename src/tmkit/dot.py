@@ -55,7 +55,7 @@ def _emit_thimac(lines, thimac: md.Thimac, prefix: str, indent: str, owned,
     lines.append(f"{indent}  label={_quote(label)};")
     for action in owned.get(path, ()):
         lines.append(f"{indent}  {_quote(action.id)} "
-                     f"[label={_quote(action.kind.word)}];")
+                     f"[label={_quote(action.kind.capitalize())}];")
     if show_stores and thimac.store is not None:
         value = thimac.store.value
         label = ("store" if value is None

@@ -28,8 +28,6 @@ from .errors import TmError
 from .events import (BehavioralModel, BehaviorEdge, EventRegion,
                      build_behavior, eventize)
 
-_KEYWORD_KINDS = {k.value: k for k in md.ActionKind}
-
 _BOOLEANS = {"true": True, "false": False}
 
 #: Blanks, line breaks and `#` comments, which separate lexemes.
@@ -283,28 +281,27 @@ class _Parser:
                 store = md.Store(self.parse_literal() if self.take("=")
                                  else None)
                 self.expect(";")
-            elif word in _KEYWORD_KINDS:
-                kind = _KEYWORD_KINDS[word]
-                if kind in kinds:
+            elif word in md.KIND_ORDER:
+                if word in kinds:
                     raise self.error(start, f"{word} re-declared in '{path}'")
                 self.pos += 1
                 update = None
                 if self.take("="):
-                    if kind is not md.ActionKind.PROCESS:
+                    if word != "process":
                         raise self.error(
                             start, "only process actions take an update rule")
                     target = self.parse_path()
                     self.expect(":=")
                     update = (target, self.parse_additive())
                 self.expect(";")
-                actions.append(md.Action(path, kind, update))
-                kinds.add(kind)
+                actions.append(md.Action(path, word, update))
+                kinds.add(word)
             else:
                 found = self.tokens[start][1]
                 raise self.error(
                     start, f"expected a thimac member, found {found!r}",
                     expected=["thimac", "store",
-                              *sorted(_KEYWORD_KINDS), "}"])
+                              *sorted(md.KIND_ORDER), "}"])
         self.expect("}")
         return md.Thimac(name, specializes, store, tuple(subthimacs))
 
@@ -510,10 +507,10 @@ def _thimac_lines(thimac: md.Thimac, path, owned, indent):
                          key=lambda a: md.KIND_ORDER.index(a.kind)):
         if action.update is not None:
             target, rule = action.update
-            lines.append(f"{inner}{action.kind.value} = {target} := "
-                         f"{ex.to_text(rule)};")
+            lines.append(f"{inner}{action.kind} = {target} := "
+                         f"{ex.to_text(rule, ex.SUM)};")
         else:
-            lines.append(f"{inner}{action.kind.value};")
+            lines.append(f"{inner}{action.kind};")
     for sub in thimac.subthimacs:
         lines.extend(_thimac_lines(sub, f"{path}.{sub.name}", owned, inner))
     lines.append(f"{indent}}}")

@@ -64,8 +64,14 @@ _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
 
 _MAX = sys.float_info.max
 
-#: The run an operator belongs to: `+` and `-` mix, `and` and `or` do not.
-_RUN = {"and": "and", "or": "or", "+": "+", "-": "+"}
+#: How tightly each kind of node binds, loosest first, as the parser nests
+#: its levels: a run of `or`, a run of `and`, `not`, a comparison and a
+#: sum. A literal or a path binds tightest of all.
+OR, AND, NOT, COMPARISON, SUM = range(5)
+
+#: The run an operator belongs to, by its binding: `+` and `-` mix, `and`
+#: and `or` do not.
+_RUN = {"or": OR, "and": AND, "+": SUM, "-": SUM}
 
 
 def in_range(number) -> bool:
@@ -170,12 +176,14 @@ def compiled(expr: Expr):
     return run
 
 
-def to_text(expr: Expr) -> str:
+def to_text(expr: Expr, loosest: int = OR) -> str:
     """Deterministic concrete syntax; reparses to an equal expression.
 
-    Every operand of `not`, `and` and `or` is in parentheses; other
-    operands only where the grammar needs them, as in `a - (b - c)` and
-    `(a < b) = c`.
+    In parentheses only if it binds looser than `loosest`, the binding
+    its place in the grammar takes: the first operand of a run binds at
+    least as tightly as the run, each later one more tightly, as in
+    `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
+    `(` and `not` no deeper than any text that parses to the same tree.
     """
     kind = type(expr)
     if kind is Lit:
@@ -183,32 +191,18 @@ def to_text(expr: Expr) -> str:
     if kind is PathRef:
         return expr.path
     if kind is Unary:
-        return f"not ({to_text(expr.operand)})"
-    if kind is Binary:
-        return f"{_term(expr.left)} {expr.op} {_term(expr.right)}"
-    logical = not _is_additive(expr)
-    parts = [f"({to_text(expr.first)})" if logical else _term(expr.first)]
-    for op, operand in expr.rest:
-        text = to_text(operand)
-        if logical or type(operand) not in _LEAVES:
-            text = f"({text})"
-        parts.append(f" {op} {text}")
-    return "".join(parts)
-
-
-_LEAVES = (Lit, PathRef)
-
-
-def _is_additive(expr: Expr) -> bool:
-    """True if the grammar reads the text as one comparison operand."""
-    return type(expr) in _LEAVES or (
-        type(expr) is Chain and _RUN[expr.rest[0][0]] == "+")
-
-
-def _term(expr: Expr) -> str:
-    """The text of a comparison or sum operand."""
-    text = to_text(expr)
-    return text if _is_additive(expr) else f"({text})"
+        binding, text = NOT, f"not {to_text(expr.operand, NOT)}"
+    elif kind is Binary:
+        binding = COMPARISON
+        text = (f"{to_text(expr.left, SUM)} {expr.op} "
+                f"{to_text(expr.right, SUM)}")
+    else:
+        binding = _RUN[expr.rest[0][0]]
+        parts = [to_text(expr.first, binding)]
+        for op, operand in expr.rest:
+            parts.append(f" {op} {to_text(operand, binding + 1)}")
+        text = "".join(parts)
+    return text if binding >= loosest else f"({text})"
 
 
 def _lit_text(value: Value) -> str:

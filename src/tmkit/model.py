@@ -8,45 +8,33 @@ without moving a thing.
 
 from __future__ import annotations
 
-import enum
 import functools
 from collections.abc import Iterator
 
 from . import expr as ex
 from ._record import record
 from .errors import (DuplicateEdge, DuplicateId, DuplicateSiblingName,
-                     TriggerShadowsFlow, UnknownPath)
+                     ModelError, TriggerShadowsFlow, UnknownPath)
 
 
-class ActionKind(enum.Enum):
-    CREATE = "create"
-    PROCESS = "process"
-    RELEASE = "release"
-    TRANSFER = "transfer"
-    RECEIVE = "receive"
-
-    @property
-    def word(self) -> str:
-        return self.value.capitalize()
-
-
-#: Canonical ordering of action kinds inside a thimac: their declaration order
-KIND_ORDER = tuple(ActionKind)
+#: The generic action kinds, as their `.tm` keywords, in canonical order
+#: inside a thimac: their declaration order
+KIND_ORDER = ("create", "process", "release", "transfer", "receive")
 
 #: Legal (from-kind, to-kind) pairs for a flow inside one thimac.
 LEGAL_INTRA = {
-    (ActionKind.TRANSFER, ActionKind.RECEIVE),
-    (ActionKind.RECEIVE, ActionKind.PROCESS),
-    (ActionKind.RECEIVE, ActionKind.RELEASE),
-    (ActionKind.PROCESS, ActionKind.RELEASE),
-    (ActionKind.PROCESS, ActionKind.CREATE),
-    (ActionKind.CREATE, ActionKind.RELEASE),
-    (ActionKind.CREATE, ActionKind.PROCESS),
-    (ActionKind.RELEASE, ActionKind.TRANSFER),
+    ("transfer", "receive"),
+    ("receive", "process"),
+    ("receive", "release"),
+    ("process", "release"),
+    ("process", "create"),
+    ("create", "release"),
+    ("create", "process"),
+    ("release", "transfer"),
 }
 
 #: Legal pairs for a flow crossing thimac boundaries.
-LEGAL_INTER = {(ActionKind.TRANSFER, ActionKind.TRANSFER)}
+LEGAL_INTER = {("transfer", "transfer")}
 
 VALUE_TYPES = ("number", "text", "boolean", "reference")
 
@@ -74,7 +62,7 @@ class Action:
     """Stated once, in the action table: its id and its thimac's list of
     actions (`StaticModel.actions_by_owner`) derive from owner and kind."""
     owner: str  # dotted path of the containing thimac
-    kind: ActionKind
+    kind: str  # one of KIND_ORDER
     update: tuple[str, ex.Expr] | None = None  # target path := expr
 
     @property
@@ -82,8 +70,8 @@ class Action:
         return action_id(self.owner, self.kind)
 
 
-def action_id(owner: str, kind: ActionKind) -> str:
-    return f"{owner}.{kind.value}"
+def action_id(owner: str, kind: str) -> str:
+    return f"{owner}.{kind}"
 
 
 @record
@@ -194,6 +182,9 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     table: dict[str, Action] = {}
     for action in actions:
         aid = action.id
+        if action.kind not in KIND_ORDER:
+            raise ModelError(f"action '{aid}' has unknown kind "
+                             f"{action.kind!r}")
         if aid in table:
             raise DuplicateId(f"duplicate action id '{aid}'")
         if action.owner not in paths:
@@ -245,8 +236,8 @@ def validate_static(model: StaticModel) -> ValidationReport:
             scope = "intra" if src.owner == dst.owner else "inter"
             report.add(
                 "ERROR", f"{edge.src} -> {edge.dst}",
-                f"illegal {scope}-thimac flow {src.kind.word} -> "
-                f"{dst.kind.word}", "IllegalStagePair")
+                f"illegal {scope}-thimac flow {src.kind.capitalize()} -> "
+                f"{dst.kind.capitalize()}", "IllegalStagePair")
     stores = model.stores
     for action in model.actions.values():
         if action.update is None:

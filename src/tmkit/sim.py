@@ -190,7 +190,7 @@ def _steps(actions, event: EventRegion, flows):
     if len(order) != len(event.covers):
         order = sorted(event.covers)
     return tuple(order), tuple(
-        (aid, actions[aid].kind is md.ActionKind.CREATE,
+        (aid, actions[aid].kind == "create",
          tuple(sorted(preds.get(aid, ()))),
          (update := actions[aid].update)
          and (update[0], ex.compiled(update[1])))

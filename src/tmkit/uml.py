@@ -172,7 +172,7 @@ def _expand(cls: ClassDef, prefix: str, children, actions, flows) \
     to its subclasses. A module function, not a closure, so that no cycle
     keeps the scaffold alive after the call."""
     path = f"{prefix}.{cls.name}" if prefix else cls.name
-    actions.append(md.Action(path, md.ActionKind.CREATE))
+    actions.append(md.Action(path, "create"))
     subs = [_attribute_thimac(attr, path, actions, flows)
             for attr in cls.attributes]
     subs += [_method_thimac(method, path, actions)
@@ -189,10 +189,9 @@ def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
     actions.extend(md.Action(path, kind) for kind in md.KIND_ORDER)
     # setter enters via Transfer/Receive and lands in the store through
     # Process/Create; getter leaves via Release/Transfer
-    k = md.ActionKind
-    for src, dst in ((k.TRANSFER, k.RECEIVE), (k.RECEIVE, k.PROCESS),
-                     (k.PROCESS, k.CREATE), (k.CREATE, k.RELEASE),
-                     (k.RELEASE, k.TRANSFER)):
+    for src, dst in (("transfer", "receive"), ("receive", "process"),
+                     ("process", "create"), ("create", "release"),
+                     ("release", "transfer")):
         flows.append(md.FlowEdge(md.action_id(path, src),
                                  md.action_id(path, dst)))
     store = md.Store(_TYPE_DEFAULTS[attr.value_type])
@@ -200,8 +199,7 @@ def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
 
 
 def _method_thimac(method: MethodDef, prefix, actions):
-    actions.append(md.Action(f"{prefix}.{method.name}",
-                             md.ActionKind.PROCESS))
+    actions.append(md.Action(f"{prefix}.{method.name}", "process"))
     return md.Thimac(method.name)
 
 

@@ -13,7 +13,7 @@ import time
 from tmkit import corpus, dsl, sim, uml
 from tmkit.dot import emit_dot
 from tmkit.dsl import parse, print_text
-from tmkit.model import (ActionKind, LEGAL_INTER, LEGAL_INTRA, VALUE_TYPES,
+from tmkit.model import (KIND_ORDER, LEGAL_INTER, LEGAL_INTRA, VALUE_TYPES,
                          action_id, canonicalize, validate_static)
 from tmkit.uml import AttributeDef, ClassDef, ClassModel, MethodDef
 
@@ -135,12 +135,12 @@ def _pair_model(src_kind, dst_kind, same_thimac):
     if same_thimac:
         if src_kind == dst_kind:
             return None
-        lines.append(f"thimac A {{ {src_kind.value}; {dst_kind.value}; }}")
+        lines.append(f"thimac A {{ {src_kind}; {dst_kind}; }}")
         src = action_id("A", src_kind)
         dst = action_id("A", dst_kind)
     else:
-        lines.append(f"thimac A {{ {src_kind.value}; }}")
-        lines.append(f"thimac B {{ {dst_kind.value}; }}")
+        lines.append(f"thimac A {{ {src_kind}; }}")
+        lines.append(f"thimac B {{ {dst_kind}; }}")
         src = action_id("A", src_kind)
         dst = action_id("B", dst_kind)
     lines.append(f"flow {src} -> {dst};")
@@ -151,7 +151,7 @@ def test_acceptance_6_invariants(parsed_corpus):
     # exhaustive stage-legality table, 5 x 5 kinds x intra/inter
     checked = 0
     for src_kind, dst_kind, same in itertools.product(
-            ActionKind, ActionKind, (True, False)):
+            KIND_ORDER, KIND_ORDER, (True, False)):
         text = _pair_model(src_kind, dst_kind, same)
         if text is None:
             continue
@@ -191,7 +191,7 @@ def test_acceptance_6_invariants(parsed_corpus):
         trace = sim.simulate(static, behavior, world, inputs)
         creates = sum(
             1 for entry in trace.entries for aid in entry.actions_fired
-            if static.actions[aid].kind is ActionKind.CREATE)
+            if static.actions[aid].kind == "create")
         assert sum(world.tokens.values()) == creates
 
         # chronology: a successor never first-fires before its predecessor

@@ -707,10 +707,11 @@ def test_thimacs_nested_past_the_bound_are_a_parse_error(tmp_path, classes):
         assert result.stderr.endswith(": nesting too deep\n"), command
 
 
-def _deep_expressions(parens=0, nots=0, sums=0):
-    """`.tm` text whose first guard nests `parens` parentheses, whose
-    second nests `nots` `not`s and whose update rule nests `sums` sums,
-    each in parentheses; all three run under `simulate --world A=1`."""
+def _deep_expressions(parens=0, nots=0, sums=0, runs=0):
+    """`.tm` text whose first guard nests `parens` parentheses and then
+    `runs` levels of `A > 0 or A > 0 and (`, whose second nests `nots`
+    `not`s and whose update rule nests `sums` sums, each in parentheses;
+    all of them run under `simulate --world A=1`."""
     return ("thimac A { store = 1; create; process = A := A + "
             + "(1 + " * sums + "1" + ")" * sums + "; }\n"
             "thimac B { create; }\n"
@@ -718,7 +719,8 @@ def _deep_expressions(parens=0, nots=0, sums=0):
             "event D covers { A.create };\nevent E covers { A.process };\n"
             "event F covers { B.create };\n"
             "behavior {\n  D -> E guard " + "(" * parens + "A = 1"
-            + ")" * parens + ";\n  D -> F guard " + "not " * nots
+            + ")" * parens + " and " + "A > 0 or A > 0 and (" * runs
+            + "A > 0" + ")" * runs + ";\n  D -> F guard " + "not " * nots
             + "A > 0;\n}\nterminal F;\n")
 
 
@@ -732,7 +734,7 @@ def test_every_command_takes_expressions_nested_to_the_bound(capsys,
                                                             tmp_path):
     depth = dsl.MAX_EXPR_DEPTH
     path = tmp_path / "deep.tm"
-    path.write_text(_deep_expressions(depth, depth, depth))
+    path.write_text(_deep_expressions(depth, depth, depth, depth))
     for argv in _EXPRESSION_COMMANDS:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, err) == (0, ""), argv
@@ -742,9 +744,26 @@ def test_every_command_takes_expressions_nested_to_the_bound(capsys,
         if argv == ["simulate", "--world", "A=1"]:
             assert [line.split("\t")[1] for line in out.splitlines()] == \
                 ["D", "E", "F"]
+    # `fmt` nests no deeper than its input, so `check` takes its output
+    code, once, _ = run(capsys, "fmt", str(path))
+    path.write_text(once)
+    code, _, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert run(capsys, "fmt", str(path)) == (0, once, "")
 
 
-@pytest.mark.parametrize("shape", ["parens", "nots", "sums"])
+@pytest.mark.parametrize("rule", ["(A < 1)", "(not A)", "(A > 0 or A < 0)"])
+def test_fmt_writes_an_update_rule_that_is_no_sum_in_parentheses(
+        capsys, tmp_path, rule):
+    path = tmp_path / "rule.tm"
+    path.write_text(f"thimac A {{ store = 1; process = A := {rule}; }}\n")
+    code, out, _ = run(capsys, "fmt", str(path))
+    assert code == 0 and f"process = A := {rule};" in out
+    path.write_text(out)
+    assert run(capsys, "check", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("shape", ["parens", "nots", "sums", "runs"])
 def test_expressions_nested_past_the_bound_are_a_parse_error(
         capsys, tmp_path, shape):
     text = _deep_expressions(**{shape: dsl.MAX_EXPR_DEPTH + 1})

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from tmkit import corpus, dsl, expr
 from tmkit.expr import Binary, Chain, Lit, PathRef, Unary, to_text
-from tmkit.model import ActionKind, canonicalize
+from tmkit.model import canonicalize
 
 STACK_SRC = ("thimac Stack { store; transfer; receive; create; } "
              "flow Stack.transfer -> Stack.receive; "
@@ -97,7 +97,7 @@ def test_process_update_rule_parses():
     static, _, _ = dsl.parse(
         "thimac A { store = 0; process = A := A + 1; }")
     action = static.actions["A.process"]
-    assert action.kind is ActionKind.PROCESS
+    assert action.kind == "process"
     target, rule = action.update
     assert target == "A"
 

@@ -159,7 +159,7 @@ def covered_models(draw):
     events with random covers plus one covering each trigger's ends."""
     thimacs = [md.Thimac(f"T{i}") for i in range(draw(st.integers(1, 4)))]
     actions = [md.Action(t.name, kind) for t in thimacs
-               for kind in draw(st.sets(st.sampled_from(list(md.ActionKind)),
+               for kind in draw(st.sets(st.sampled_from(md.KIND_ORDER),
                                         min_size=1))]
     ids = [a.id for a in actions]
     pairs = draw(st.lists(st.tuples(st.sampled_from(ids),

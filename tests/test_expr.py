@@ -96,12 +96,12 @@ def test_an_integer_sum_in_the_range_of_a_float_stays_exact():
     ("A - (B - 1)", "A - (B - 1)"),
     ("A + (B < 1)", "A + (B < 1)"),
     ("(A < 1) = (B < 1)", "(A < 1) = (B < 1)"),
-    ("(not A) + 1", "(not (A)) + 1"),
-    ("not A = 1", "not (A = 1)"),
-    ("A = 1 and B = 2", "(A = 1) and (B = 2)"),
-    ("A = 1 and B = 2 and A = 3", "(A = 1) and (B = 2) and (A = 3)"),
-    ("A = 1 and B = 2 or A = 3", "((A = 1) and (B = 2)) or (A = 3)"),
-    ("A or B and A", "(A) or ((B) and (A))"),
+    ("(not A) + 1", "(not A) + 1"),
+    ("not A = 1", "not A = 1"),
+    ("A = 1 and B = 2", "A = 1 and B = 2"),
+    ("A = 1 and B = 2 and A = 3", "A = 1 and B = 2 and A = 3"),
+    ("A = 1 and B = 2 or A = 3", "A = 1 and B = 2 or A = 3"),
+    ("A or B and A", "A or B and A"),
     ("-1 - -2.5", "-1 - -2.5"),
 ])
 def test_to_text_reparses_to_the_same_tree(text, printed):
@@ -215,6 +215,56 @@ def test_parse_of_to_text_is_the_same_expression(expr):
     parsed = _guard(to_text(expr))
     assert parsed == expr and hash(parsed) == hash(expr)
     assert to_text(parsed) == to_text(expr)
+
+
+def _binding(expr):
+    """How tightly `expr` binds, restated from the parser's levels."""
+    if type(expr) is Chain:
+        return {"or": 0, "and": 1, "+": 4, "-": 4}[expr.rest[0][0]]
+    return {Unary: 2, Binary: 3}.get(type(expr), 5)
+
+
+def _write(draw, expr, loosest=0):
+    """Text that parses to `expr`, with parentheses where the grammar
+    needs them and, at random, around any other subexpression too."""
+    kind, binding = type(expr), _binding(expr)
+    if kind is Unary:
+        text = "not " + _write(draw, expr.operand, 2)
+    elif kind is Binary:
+        text = (f"{_write(draw, expr.left, 4)} {expr.op} "
+                f"{_write(draw, expr.right, 4)}")
+    elif kind is Chain:
+        text = _write(draw, expr.first, binding) + "".join(
+            f" {op} {_write(draw, operand, binding + 1)}"
+            for op, operand in expr.rest)
+    else:
+        text = to_text(expr)
+    return f"({text})" if binding < loosest or draw(st.booleans()) else text
+
+
+def _nesting(text):
+    """How deep `(` and `not` nest in a guard, each one level, as the
+    parser bounds them: a `not` holds until the next `and`, `or` or `)`
+    of its level."""
+    stack, deepest = [], 0
+    for lexeme in dsl._LEXEME_RE.findall(text):
+        if lexeme in ("(", "not"):
+            stack.append(lexeme)
+            deepest = max(deepest, len(stack))
+        elif lexeme in ("and", "or", ")", ""):
+            while stack and stack[-1] == "not":
+                stack.pop()
+            if lexeme == ")":
+                stack.pop()
+    return deepest
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANONICAL, st.data())
+def test_to_text_nests_no_deeper_than_any_text_of_the_tree(expr, data):
+    text = _write(lambda strategy: data.draw(strategy), expr)
+    assert _guard(text) == expr
+    assert _nesting(to_text(expr)) <= _nesting(text)
 
 
 # -- compiled closures against the recursive interpreter they replace --

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmkit import dsl, errors, expr as ex, model as md
-from tmkit.model import (Action, ActionKind, FlowEdge, StaticModel, Thimac,
+from tmkit.model import (KIND_ORDER, Action, FlowEdge, StaticModel, Thimac,
                          TriggerEdge, build_model, canonicalize,
                          validate_static)
-
-K = ActionKind
 
 
 def _simple(actions_by_thimac, flows=(), triggers=()):
@@ -32,14 +30,21 @@ def test_empty_model():
 
 
 def test_duplicate_action_id_rejected():
-    action = Action("A", K.CREATE)
+    action = Action("A", "create")
     with pytest.raises(errors.DuplicateId):
         build_model([Thimac("A")], [action, action], [], [])
 
 
 def test_unresolvable_owner_rejected():
     with pytest.raises(errors.UnknownPath):
-        build_model([Thimac("A")], [Action("B", K.CREATE)], [], [])
+        build_model([Thimac("A")], [Action("B", "create")], [], [])
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Create", "PROCESS", ""])
+def test_a_kind_that_is_no_keyword_is_rejected(kind):
+    with pytest.raises(errors.ModelError,
+                       match=f"action 'A.{kind}' has unknown kind '{kind}'"):
+        build_model([Thimac("A")], [Action("A", kind)], [], [])
 
 
 def test_duplicate_sibling_name_rejected():
@@ -91,19 +96,19 @@ def test_a_chain_of_thimacs_deeper_than_the_stack_is_walked_in_preorder():
 
 def test_dangling_edge_rejected():
     with pytest.raises(errors.UnknownPath):
-        _simple({"A": [K.TRANSFER]}, flows=[("A.transfer", "A.receive")])
+        _simple({"A": ["transfer"]}, flows=[("A.transfer", "A.receive")])
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(errors.DuplicateEdge):
-        _simple({"A": [K.TRANSFER, K.RECEIVE]},
+        _simple({"A": ["transfer", "receive"]},
                 flows=[("A.transfer", "A.receive"),
                        ("A.transfer", "A.receive")])
 
 
 def test_trigger_shadowing_flow_rejected():
     with pytest.raises(errors.TriggerShadowsFlow):
-        _simple({"A": [K.TRANSFER, K.RECEIVE]},
+        _simple({"A": ["transfer", "receive"]},
                 flows=[("A.transfer", "A.receive")],
                 triggers=[("A.transfer", "A.receive")])
 
@@ -120,7 +125,7 @@ def test_beef_fixture_builds_and_validates(beef):
 
 
 def test_receive_to_transfer_is_violation():
-    static = _simple({"A": [K.RECEIVE, K.TRANSFER]},
+    static = _simple({"A": ["receive", "transfer"]},
                      flows=[("A.receive", "A.transfer")])
     report = validate_static(static)
     assert [d.code for d in report.errors] == ["IllegalStagePair"]
@@ -148,10 +153,16 @@ INTRA_LEGAL = {
 INTER_LEGAL = {("transfer", "transfer")}
 
 
+def _kind_id(value):
+    """A case's name as it was when kinds were enum members, so that the
+    case names stay stable."""
+    return f"ActionKind.{value.upper()}" if isinstance(value, str) else None
+
+
 @pytest.mark.parametrize("src,dst,same", [
     (a, b, same)
-    for a, b in itertools.product(list(K), repeat=2)
-    for same in (True, False)])
+    for a, b in itertools.product(KIND_ORDER, repeat=2)
+    for same in (True, False)], ids=_kind_id)
 def test_legality_table_exhaustive(src, dst, same):
     if same and src == dst:
         # one action per kind per thimac; the pair is unconstructible
@@ -160,26 +171,26 @@ def test_legality_table_exhaustive(src, dst, same):
         static = _simple({"A": [src, dst]},
                          flows=[(md.action_id("A", src),
                                  md.action_id("A", dst))])
-        expected = (src.value, dst.value) in INTRA_LEGAL
+        expected = (src, dst) in INTRA_LEGAL
     else:
         static = _simple({"A": [src], "B": [dst]},
                          flows=[(md.action_id("A", src),
                                  md.action_id("B", dst))])
-        expected = (src.value, dst.value) in INTER_LEGAL
+        expected = (src, dst) in INTER_LEGAL
     report = validate_static(static)
     assert (not any(d.code == "IllegalStagePair" for d in report.errors)) \
         == expected
 
 
 def test_isolated_action_warns():
-    static = _simple({"A": [K.CREATE]})
+    static = _simple({"A": ["create"]})
     report = validate_static(static)
     assert report.ok
     assert [d.code for d in report.warnings] == ["IsolatedAction"]
 
 
 def test_triggers_are_unconstrained_by_stage():
-    static = _simple({"A": [K.CREATE], "B": [K.PROCESS]},
+    static = _simple({"A": ["create"], "B": ["process"]},
                      triggers=[("A.create", "B.process")])
     assert validate_static(static).ok
 
@@ -218,9 +229,9 @@ def library_models(draw):
         for name in draw(st.lists(_NAMES, unique=True,
                                   max_size=3 if depth < 3 else 0)):
             path = prefix + name
-            for kind in draw(st.lists(st.sampled_from(K), unique=True)):
+            for kind in draw(st.lists(st.sampled_from(KIND_ORDER), unique=True)):
                 update = None
-                if kind is K.PROCESS and draw(st.booleans()):
+                if kind == "process" and draw(st.booleans()):
                     update = (path, draw(st.sampled_from(
                         [ex.Lit(1), ex.PathRef(path)])))
                 actions.append(Action(path, kind, update))
@@ -245,8 +256,8 @@ def library_models(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(library_models())
-@example(build_model([Thimac("A")], [Action("A", K.PROCESS),
-                                     Action("A", K.CREATE)],
+@example(build_model([Thimac("A")], [Action("A", "process"),
+                                     Action("A", "create")],
                      [FlowEdge("A.create", "A.process")], []))
 def test_every_built_model_prints_to_text_that_parses_back(static):
     text = dsl.print_text(static)

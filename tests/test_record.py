@@ -7,9 +7,8 @@ import pytest
 from tmkit import dsl
 from tmkit.events import BehaviorEdge
 from tmkit.expr import Binary, Lit, PathRef
-from tmkit.model import (Action, ActionKind, Diagnostic, FlowEdge, Store,
-                         StaticModel, Thimac, TriggerEdge, ValidationReport,
-                         validate_static)
+from tmkit.model import (Action, Diagnostic, FlowEdge, Store, StaticModel,
+                         Thimac, TriggerEdge, ValidationReport, validate_static)
 from tmkit.sim import TraceEntry
 
 
@@ -23,9 +22,9 @@ def test_records_of_different_classes_are_never_equal():
 def test_equal_records_hash_equal():
     pairs = [(FlowEdge("a", "b"), FlowEdge(src="a", dst="b")),
              (Thimac("A"), Thimac("A", False, None, ())),
-             (Action("A", ActionKind.PROCESS,
+             (Action("A", "process",
                      ("A", Binary("+", PathRef("A"), Lit(1)))),
-              Action(owner="A", kind=ActionKind.PROCESS,
+              Action(owner="A", kind="process",
                      update=("A", Binary("+", PathRef("A"), Lit(1)))))]
     for one, other in pairs:
         assert one == other and hash(one) == hash(other)
@@ -49,7 +48,7 @@ def test_fields_take_positions_keywords_and_defaults():
 @pytest.mark.parametrize("value", [
     FlowEdge("a", "b"),
     Thimac("A", True, Store("x"), (Thimac("b", store=Store()),)),
-    Action("A", ActionKind.CREATE),
+    Action("A", "create"),
     TraceEntry(1, "E", ("A.create",), ()),
     dsl.SourceUnit("thimac A { }"),
 ], ids=lambda value: type(value).__name__)

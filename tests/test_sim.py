@@ -13,7 +13,6 @@ from tmkit import model as md
 from tmkit._json import scalar
 from tmkit.events import build_behavior, covered_edges, eventize
 from tmkit.expr import UNSET, Binary, Lit, PathRef
-from tmkit.model import ActionKind
 
 
 BOB = {"Human.name": "Bob", "Human.weight": 150, "Human.gender": "male"}
@@ -305,10 +304,10 @@ def test_simulate_rejects_a_budget_below_1(bank):
 
 def test_a_wide_event_fires_in_time_linear_in_its_actions():
     owners = [f"T{i:05}" for i in range(30_000)]
-    ids = [md.action_id(owner, ActionKind.CREATE) for owner in owners]
+    ids = [md.action_id(owner, "create") for owner in owners]
     static = md.build_model(
         [md.Thimac(owner) for owner in owners],
-        [md.Action(owner, ActionKind.CREATE) for owner in owners], [], [])
+        [md.Action(owner, "create") for owner in owners], [], [])
     behavior = build_behavior([eventize(static, "E", "wide", ids)], [])
     world = sim.init_world(static)
     start = time.perf_counter()
@@ -407,7 +406,7 @@ def test_token_conservation(parsed_corpus):
         trace = sim.simulate(static, behavior, world, inputs)
         creates = sum(
             1 for entry in trace.entries for aid in entry.actions_fired
-            if static.actions[aid].kind is ActionKind.CREATE)
+            if static.actions[aid].kind == "create")
         assert sum(world.tokens.values()) == creates
 
 
