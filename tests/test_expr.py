@@ -262,7 +262,7 @@ def _nesting(text):
 @settings(max_examples=300, deadline=None)
 @given(_CANONICAL, st.data())
 def test_to_text_nests_no_deeper_than_any_text_of_the_tree(expr, data):
-    text = _write(lambda strategy: data.draw(strategy), expr)
+    text = _write(data.draw, expr)
     assert _guard(text) == expr
     assert _nesting(to_text(expr)) <= _nesting(text)
 

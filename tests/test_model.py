@@ -229,7 +229,8 @@ def library_models(draw):
         for name in draw(st.lists(_NAMES, unique=True,
                                   max_size=3 if depth < 3 else 0)):
             path = prefix + name
-            for kind in draw(st.lists(st.sampled_from(KIND_ORDER), unique=True)):
+            for kind in draw(st.lists(st.sampled_from(KIND_ORDER),
+                                      unique=True)):
                 update = None
                 if kind == "process" and draw(st.booleans()):
                     update = (path, draw(st.sampled_from(

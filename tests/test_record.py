@@ -8,7 +8,8 @@ from tmkit import dsl
 from tmkit.events import BehaviorEdge
 from tmkit.expr import Binary, Lit, PathRef
 from tmkit.model import (Action, Diagnostic, FlowEdge, Store, StaticModel,
-                         Thimac, TriggerEdge, ValidationReport, validate_static)
+                         Thimac, TriggerEdge, ValidationReport,
+                         validate_static)
 from tmkit.sim import TraceEntry
 
 
