@@ -43,6 +43,15 @@ def test_unicode_arrow_alias():
     assert a == b
 
 
+@pytest.mark.parametrize("path", ["A . transfer", "A.# note\n transfer",
+                                  "A .\n\ttransfer"])
+def test_blanks_and_comments_around_a_dot_are_one_path(path):
+    static, _, _ = dsl.parse("thimac A { transfer; receive; } "
+                             f"flow {path} -> A.receive;")
+    assert [(e.src, e.dst) for e in static.flows] == \
+        [("A.transfer", "A.receive")]
+
+
 def test_comments_ignored():
     static, _, _ = dsl.parse("# heading\nthimac A { # inline\n }\n")
     assert [t.name for t in static.thimacs] == ["A"]
@@ -186,6 +195,19 @@ def _stream(text):
     # a line break inside a string starts a new line
     ('"a\\\nb" c', [("STRING", "a\nb", 1, 1), ("NAME", "c", 2, 4),
                     ("EOF", None, 2, 5)]),
+    # a dot with blanks or a comment beside it, or with no name after it,
+    # is a token of its own
+    ("A . b", [("NAME", "A", 1, 1), (".", ".", 1, 3), ("NAME", "b", 1, 5),
+               ("EOF", None, 1, 6)]),
+    ("A.# c\n b", [("NAME", "A", 1, 1), (".", ".", 1, 2),
+                   ("NAME", "b", 2, 2), ("EOF", None, 2, 3)]),
+    ("A.", [("NAME", "A", 1, 1), (".", ".", 1, 2), ("EOF", None, 1, 3)]),
+    ("A..b", [("NAME", "A", 1, 1), (".", ".", 1, 2), (".", ".", 1, 3),
+              ("NAME", "b", 1, 4), ("EOF", None, 1, 5)]),
+    ("A.1", [("NAME", "A", 1, 1), (".", ".", 1, 2), ("NUMBER", 1, 1, 3),
+             ("EOF", None, 1, 4)]),
+    ("1.5.x", [("NUMBER", 1.5, 1, 1), (".", ".", 1, 4), ("NAME", "x", 1, 5),
+               ("EOF", None, 1, 6)]),
 ])
 def test_tokenizer_table(text, expected):
     stream = _stream(text)
@@ -234,6 +256,22 @@ def test_tokenizer_error_positions(text, line, col, message):
      "event E covers { A.create }\r\n  guard A = 2;", 3, 3,
      "guard on event 'E' is unused: it has no incoming behavior edge"),
     ('"a\\\nb" !', 2, 4, "unexpected character '!'"),
+    # a dotted path where one name, a keyword or a literal is expected
+    ("thimac A.b { }", 1, 9, "expected '{', found '.'"),
+    ("thimac A { create; } event E.x covers { A.create };", 1, 29,
+     "expected 'covers', found '.'"),
+    ("behavior { A.b -> C; }", 1, 13, "expected '->', found '.'"),
+    ("thimac A { store = 0; process = A := true.x + 1; }", 1, 42,
+     "expected ';', found '.'"),
+    ("thimac A { store = 0; process = A := false.x; }", 1, 43,
+     "expected ';', found '.'"),
+    ("thimac A { store = 1; create; } event E covers { A.create } "
+     "guard not.x = 1;", 1, 70, "expected an expression, found '.'"),
+    ("flow A.²b -> C;", 1, 8, "unexpected character '²'"),
+    ("flow A. -> B;", 1, 9, "expected 'NAME', found '->'"),
+    ("flow A..b -> B;", 1, 8, "expected 'NAME', found '.'"),
+    ("flow A.1 -> B;", 1, 8, "expected 'NAME', found 1"),
+    ("thimac A { store = 1.5.x; }", 1, 23, "expected ';', found '.'"),
 ])
 def test_parse_error_positions(text, line, col, message):
     with pytest.raises(dsl.ParseError) as exc:
