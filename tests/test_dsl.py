@@ -3,9 +3,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import dsl_reference
 from tmkit import corpus, dsl, expr
+from tmkit.errors import TmError
 from tmkit.expr import Binary, Chain, Lit, PathRef, Unary, to_text
 from tmkit.model import canonicalize
 
@@ -278,6 +280,66 @@ def test_parse_error_positions(text, line, col, message):
         dsl.parse(text)
     assert (exc.value.line, exc.value.column, exc.value.message) == \
         (line, col, message)
+
+
+def _outcome(parse, text):
+    """What `parse` makes of `text`: the model, or the error it raises."""
+    try:
+        return parse(text)
+    except dsl.ParseError as exc:
+        return ("ParseError", exc.line, exc.column, exc.message, exc.expected)
+    except TmError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+#: What the mutations below put in: names that are keywords somewhere,
+#: characters `\w` admits but no name starts with, and the blanks and
+#: comments that may stand around a `.`
+_KEYWORDS = ["not", "true", "false", "input", "guard", "covers"]
+_BAD = ["²", "½"]
+_GAPS = [" ", "\n", "\t", "# c\n", " # c\n "]
+
+
+@st.composite
+def _mutated_fixtures(draw):
+    """A fixture's text with a few lexemes changed, in the ways a dotted
+    lexeme could parse apart from its one-name-a-token reading."""
+    text = corpus.fixture_text(draw(st.sampled_from(corpus.FIXTURES)))
+    for _ in range(draw(st.integers(1, 3))):
+        spans = [m.span(1) for m in dsl_reference._lexeme_matches(text)
+                 if m.group(1) is not None]
+        start, end = draw(st.sampled_from(spans))
+        lexeme = text[start:end]
+        how = draw(st.sampled_from(
+            ["gap", "keyword", "bad", "delete", "duplicate"]))
+        if how == "gap" and lexeme == ".":
+            text = (text[:start] + draw(st.sampled_from(["", *_GAPS]))
+                    + "." + draw(st.sampled_from(["", *_GAPS])) + text[end:])
+        elif how == "keyword":
+            text = text[:start] + draw(st.sampled_from(_KEYWORDS)) + text[end:]
+        elif how == "bad":
+            at = draw(st.integers(start, end))
+            text = text[:at] + draw(st.sampled_from(_BAD)) + text[at:]
+        elif how == "delete":
+            text = text[:start] + text[end:]
+        elif how == "duplicate":
+            text = text[:end] + " " + lexeme + text[end:]
+    return text
+
+
+_SOUP = st.lists(st.sampled_from([
+    "thimac", "A", "b", "A.b", "b.c", "store", "create", "process", "flow",
+    "trigger", "event", "behavior", "terminal", "repeatable", "and", "or",
+    *_KEYWORDS, *_BAD, ".", "..", "{", "}", ";", ",", "(", ")", "=", ":=",
+    "->", "-->", "→", "<", "+", "-", "1", "2.5", '"s"', *_GAPS, ""]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutated_fixtures(), _SOUP))
+def test_parse_agrees_with_the_one_name_a_token_reference(text):
+    assert _outcome(dsl.parse, text) == \
+        _outcome(dsl_reference.parse, text)
 
 
 def test_the_first_lexical_error_is_found_in_linear_time():
