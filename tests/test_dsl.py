@@ -1,9 +1,10 @@
 import decimal
+import operator
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dsl_reference
 from tmkit import corpus, dsl, expr
@@ -269,6 +270,9 @@ def test_tokenizer_error_positions(text, line, col, message):
      "expected ';', found '.'"),
     ("thimac A { store = 1; create; } event E covers { A.create } "
      "guard not.x = 1;", 1, 70, "expected an expression, found '.'"),
+    ("thimac A { store = 1; create; } event E covers { A.create }; "
+     "behavior { E -> E guard not.x = 1; }", 1, 89,
+     "expected an expression, found '.'"),
     ("flow A.²b -> C;", 1, 8, "unexpected character '²'"),
     ("flow A. -> B;", 1, 9, "expected 'NAME', found '->'"),
     ("flow A..b -> B;", 1, 8, "expected 'NAME', found '.'"),
@@ -327,16 +331,31 @@ def _mutated_fixtures(draw):
     return text
 
 
+#: Random lexemes, glued or apart, alone or where a path, an update
+#: rule or a guard goes, so that some of them parse
 _SOUP = st.lists(st.sampled_from([
     "thimac", "A", "b", "A.b", "b.c", "store", "create", "process", "flow",
     "trigger", "event", "behavior", "terminal", "repeatable", "and", "or",
-    *_KEYWORDS, *_BAD, ".", "..", "{", "}", ";", ",", "(", ")", "=", ":=",
-    "->", "-->", "→", "<", "+", "-", "1", "2.5", '"s"', *_GAPS, ""]),
-    max_size=30).map("".join)
+    *_KEYWORDS, "not.b", "true.A", "false.b.c", "A.not", "A.true", *_BAD,
+    ".", "..", "{", "}", ";", ",", "(", ")", "=", ":=", "->", "-->", "→",
+    "<", "+", "-", "1", "2.5", '"s"', *_GAPS, ""]),
+    max_size=8).map("".join)
+_CONTEXTS = st.sampled_from([
+    "%s",
+    "thimac A { transfer; receive; } flow %s -> A.receive;",
+    "thimac A { store = 0; process = A := %s; }",
+    "thimac A { store = 0; create; } event E covers { A.create };\n"
+    "behavior { E -> E guard %s; }",
+])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_mutated_fixtures(), _SOUP))
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_mutated_fixtures(),
+                 st.builds(operator.mod, _CONTEXTS, _SOUP)))
+@example("thimac A { store = 0; process = A := true.A + 1; }")
+@example("thimac A { store = 0; process = A := false.b; }")
+@example("thimac A { store = 0; create; } event E covers { A.create };\n"
+         "behavior { E -> E guard not.b = 1; }")
 def test_parse_agrees_with_the_one_name_a_token_reference(text):
     assert _outcome(dsl.parse, text) == \
         _outcome(dsl_reference.parse, text)
