@@ -4,16 +4,20 @@ The `.tm` format is the toolkit's interchange format. `->` declares a
 flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 `#` starts a comment, and dotted paths resolve through thimac nesting.
 parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m)
-for every model m that `model.build_model` accepts.
+for every model m that `model.build_model` accepts, unless an expression
+in m reads a path whose first part is `true`, `false` or `not`. No text
+writes one, and print_text raises ModelError for it.
 
 Cost. The whole file is lexed before parsing starts, in one C-level
-`findall` pass of `_LEXEME_RE` that skips blanks, line breaks and
-comments inside the regex and yields one string per lexeme. Each
-distinct lexeme is then classified once into a shared `(type, value)`
-tuple, so no object is built per token, and the parser reads those
-tuples by index. No line or column is tracked: a `ParseError` finds the
-position of its token by lexing the text again, once, on the failure
-path only.
+`findall` pass of `_PATH_LEXEME_RE` that skips blanks, line breaks and
+comments inside the regex and yields one string per lexeme; a path
+written without blanks, `A.b.c`, is one lexeme. Each distinct lexeme is
+then classified once into a shared `(type, value)` tuple, so no object
+is built per token, and the parser reads those tuples by index, inline
+in the loops that run once per member, edge, cover, path or operand.
+No line or column is tracked: a text that fails is parsed again one
+name a lexeme (`_LEXEME_RE`), where its `ParseError` finds the position
+of its token by lexing the text once more, on the failure path only.
 """
 
 from __future__ import annotations
@@ -40,16 +44,23 @@ _SKIP_RE = re.compile(_SKIP)
 #: `_lexeme_matches`). Names, punctuation, numbers and strings start
 #: with different characters, so their order only puts the common ones
 #: first; the catch-all error comes last, and longer punctuation comes
-#: first, so `-->` wins over `->` over `-`.
-_LEXEME_RE = re.compile(r"""
-    ( [^\W\d]\w*                                # name
+#: first, so `-->` wins over `->` over `-`. `%s` takes a path's parts.
+_LEXEME = r"""
+    ( [^\W\d]\w*%s                              # name or path
     | -->|->|:=|<=|>=|!=|[<>={};,.()+\-→]       # punctuation
     | \d+(?:\.\d*)?                             # number
     | "(?:[^"\\\n]|\\[\s\S])*"                  # string
     | [^ \t\r\n\#]                              # a lexical error
     )""" + _SKIP + r"""
   | \Z
-""", re.VERBOSE)
+"""
+#: One lexeme per name: the tokens that `_position` counts.
+_LEXEME_RE = re.compile(_LEXEME % "", re.VERBOSE)
+#: One lexeme per path written without blanks, `A.b.c`, too.
+_PATH_LEXEME_RE = re.compile(_LEXEME % r"(?:\.[^\W\d]\w*)*", re.VERBOSE)
+
+#: Dotted lexemes with these heads read as a keyword or a literal first.
+_HEADS = ("not.", "true.", "false.")
 
 _COMPARISONS = frozenset(["<=", ">=", "!=", "<", ">", "="])
 
@@ -91,12 +102,18 @@ def _lexeme_matches(text: str):
 def _classify(lexeme: str) -> tuple:
     """The `(type, value)` token of a lexeme, or `("ERROR", message)`.
 
-    A token's type is NAME, NUMBER, STRING, EOF or the punctuation
-    itself.
+    A token's type is NAME, PATH (dotted names), NUMBER, STRING, EOF or
+    the punctuation itself. A dotted lexeme that is no path, because a
+    part is no name or its head is `not`, `true` or `false`, is an ERROR
+    with no message: `_tokenize` lexes its text one name a token.
     """
+    first = lexeme[:1]
+    # in ASCII, `[^\W\d]` is a letter or `_`, so each part is a name
+    if ((first.isalpha() or first == "_") and lexeme.isascii()
+            and not lexeme.startswith(_HEADS)):
+        return ("PATH" if "." in lexeme else "NAME", lexeme)
     if not lexeme:
         return ("EOF", None)
-    first = lexeme[0]
     if lexeme in _PUNCT:
         return (lexeme, lexeme)
     if lexeme == "→":
@@ -114,9 +131,12 @@ def _classify(lexeme: str) -> tuple:
             pass  # digits than int() reads (4300)
         return ("ERROR", f"number too long: {len(lexeme)} digits")
     # `\w` admits digits such as '²' that str.isalpha() rejects
-    if first.isalpha() or first == "_":
-        return ("NAME", lexeme)
-    return ("ERROR", f"unexpected character {first!r}")
+    parts = lexeme.split(".")
+    if (all(part[0].isalpha() or part[0] == "_" for part in parts)
+            and not lexeme.startswith(_HEADS)):
+        return ("PATH" if len(parts) > 1 else "NAME", lexeme)
+    return ("ERROR", f"unexpected character {first!r}" if len(parts) == 1
+            else None)
 
 
 def is_name(text: str) -> bool:
@@ -125,16 +145,20 @@ def is_name(text: str) -> bool:
             and _LEXEME_RE.match(text).group(1) == text)
 
 
-def _tokenize(src: SourceUnit) -> list[tuple]:
+def _tokenize(src: SourceUnit, lexeme_re=_PATH_LEXEME_RE) -> list[tuple]:
     """The `(type, value)` tokens of the whole text, ending in EOF.
 
-    The first lexical error in the text raises `ParseError`.
+    A path written without blanks is one PATH token. If a lexeme is an
+    ERROR, the text is lexed again one name a token, with `_LEXEME_RE`,
+    and then its first lexical error raises `ParseError`.
     """
     text = src.text
-    lexemes = _LEXEME_RE.findall(text, _SKIP_RE.match(text).end())
+    lexemes = lexeme_re.findall(text, _SKIP_RE.match(text).end())
     kinds = {lexeme: _classify(lexeme) for lexeme in set(lexemes)}
     errors = {lexeme for lexeme, (type_, _) in kinds.items()
               if type_ == "ERROR"}
+    if errors and lexeme_re is _PATH_LEXEME_RE:
+        return _tokenize(src, _LEXEME_RE)
     if errors:
         first = lexemes.index(next(filter(errors.__contains__, lexemes)))
         raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
@@ -183,14 +207,11 @@ class _Parser:
         """A `ParseError` at token `index`."""
         return ParseError(*_position(self.text, index), message, expected)
 
-    def next(self):
-        """Consume the next token and return its value."""
-        self.pos += 1
-        return self.tokens[self.pos - 1][1]
-
-    def at(self, type_: str, value=None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[0] == type_ and (value is None or tok[1] == value)
+    def unexpected(self, want: str) -> ParseError:
+        """The error for the next token, where `want` was expected."""
+        found = self.tokens[self.pos][1]
+        return self.error(self.pos, f"expected {want!r}, found {found!r}",
+                          expected=[want])
 
     def take(self, type_: str, value=None) -> bool:
         """Consume the next token if it matches and say whether it did."""
@@ -206,20 +227,13 @@ class _Parser:
         if tok[0] == type_ and (value is None or tok[1] == value):
             self.pos += 1
             return tok[1]
-        want = value if value is not None else type_
-        raise self.error(self.pos, f"expected {want!r}, found {tok[1]!r}",
-                         expected=[want])
+        raise self.unexpected(value if value is not None else type_)
 
     def enter(self):
         """Count the `(` or `not` just taken as one more level open."""
         if self.depth == MAX_EXPR_DEPTH:
             raise self.error(self.pos - 1, "nesting too deep")
         self.depth += 1
-
-    def keyword(self):
-        """The next token's name, or None if it is not a NAME."""
-        type_, value = self.tokens[self.pos]
-        return value if type_ == "NAME" else None
 
     # -- grammar --
 
@@ -229,15 +243,15 @@ class _Parser:
         event_decls: list[_EventDecl] = []
         behavior_edges = None
         terminals, repeatable = [], []
-        while not self.at("EOF"):
-            word = self.keyword()
+        tokens = self.tokens
+        while (token := tokens[self.pos])[0] != "EOF":
+            word = token[1] if token[0] == "NAME" else None
             if word == "thimac":
                 thimacs.append(self.parse_thimac("", actions))
             elif word == "flow":
-                flows.append(self.parse_edge("flow", "->", md.FlowEdge))
+                flows.append(self.parse_edge("->", md.FlowEdge))
             elif word == "trigger":
-                triggers.append(
-                    self.parse_edge("trigger", "-->", md.TriggerEdge))
+                triggers.append(self.parse_edge("-->", md.TriggerEdge))
             elif word == "event":
                 event_decls.append(self.parse_event())
             elif word == "behavior":
@@ -249,79 +263,86 @@ class _Parser:
             elif word == "repeatable":
                 repeatable.extend(self.parse_event_list("repeatable"))
             else:
-                found = self.tokens[self.pos][1]
                 raise self.error(
-                    self.pos, f"expected a declaration, found {found!r}",
+                    self.pos, f"expected a declaration, found {token[1]!r}",
                     expected=["thimac", "flow", "trigger", "event",
                               "behavior", "terminal", "repeatable"])
-        self.expect("EOF")
         return (thimacs, actions, flows, triggers, event_decls,
                 behavior_edges, terminals, repeatable)
 
     def parse_thimac(self, prefix: str, actions, depth=1) -> md.Thimac:
         if depth > MAX_THIMAC_DEPTH:
             raise self.error(self.pos, "nesting too deep")
-        self.expect("NAME", "thimac")
+        self.pos += 1  # `thimac`, read by the caller
         name = self.expect("NAME")
         path = f"{prefix}.{name}" if prefix else name
         specializes = self.take("NAME", "specializes")
         self.expect("{")
+        tokens = self.tokens
         store = None
         kinds = set()
         subthimacs = []
-        while not self.at("}"):
+        while (token := tokens[self.pos])[0] != "}":
             start = self.pos
-            word = self.keyword()
+            word = token[1] if token[0] == "NAME" else None
             if word == "thimac":
                 subthimacs.append(self.parse_thimac(path, actions, depth + 1))
-            elif word == "store":
+                continue
+            if word != "store" and word not in md.KIND_ORDER:
+                raise self.error(
+                    start, f"expected a thimac member, found {token[1]!r}",
+                    expected=["thimac", "store",
+                              *sorted(md.KIND_ORDER), "}"])
+            has_value = tokens[start + 1][0] == "="
+            self.pos = start + 1 + has_value
+            if word == "store":
                 if store is not None:
                     raise self.error(start, f"store re-declared in '{path}'")
-                self.pos += 1
-                store = md.Store(self.parse_literal() if self.take("=")
-                                 else None)
-                self.expect(";")
-            elif word in md.KIND_ORDER:
+                store = md.Store(self.parse_literal() if has_value else None)
+            else:
                 if word in kinds:
                     raise self.error(start, f"{word} re-declared in '{path}'")
-                self.pos += 1
+                kinds.add(word)
                 update = None
-                if self.take("="):
+                if has_value:
                     if word != "process":
                         raise self.error(
                             start, "only process actions take an update rule")
                     target = self.parse_path()
                     self.expect(":=")
                     update = (target, self.parse_additive())
-                self.expect(";")
                 actions.append(md.Action(path, word, update))
-                kinds.add(word)
-            else:
-                found = self.tokens[start][1]
-                raise self.error(
-                    start, f"expected a thimac member, found {found!r}",
-                    expected=["thimac", "store",
-                              *sorted(md.KIND_ORDER), "}"])
-        self.expect("}")
+            if tokens[self.pos][0] != ";":
+                raise self.unexpected(";")
+            self.pos += 1
+        self.pos += 1
         return md.Thimac(name, specializes, store, tuple(subthimacs))
 
-    def parse_edge(self, keyword, arrow, factory):
-        self.expect("NAME", keyword)
+    def parse_edge(self, arrow, factory):
+        self.pos += 1  # `flow` or `trigger`, read by the caller
         src = self.parse_path()
-        self.expect(arrow)
+        tokens = self.tokens
+        if tokens[self.pos][0] != arrow:
+            raise self.unexpected(arrow)
+        self.pos += 1
         dst = self.parse_path()
-        self.expect(";")
+        if tokens[self.pos][0] != ";":
+            raise self.unexpected(";")
+        self.pos += 1
         return factory(src, dst)
 
     def parse_event(self) -> _EventDecl:
-        self.expect("NAME", "event")
+        self.pos += 1  # `event`, read by the caller
         event_id = self.expect("NAME")
-        label = self.next() if self.at("STRING") else event_id
+        label = (self.expect("STRING") if self.tokens[self.pos][0] == "STRING"
+                 else event_id)
         self.expect("NAME", "covers")
         self.expect("{")
         covers = [self.parse_path()]
-        while self.take(","):
-            if self.at("}"):
+        tokens = self.tokens
+        while tokens[self.pos][0] == ",":
+            self.pos += 1
+            if tokens[self.pos][0] == "}":
                 break
             covers.append(self.parse_path())
         self.expect("}")
@@ -333,10 +354,10 @@ class _Parser:
                           guard_at)
 
     def parse_behavior(self) -> list[BehaviorEdge]:
-        self.expect("NAME", "behavior")
+        self.pos += 1  # `behavior`, read by the caller
         self.expect("{")
         edges = []
-        while not self.at("}"):
+        while self.tokens[self.pos][0] != "}":
             src = self.expect("NAME")
             self.expect("->")
             dst = self.expect("NAME")
@@ -355,10 +376,19 @@ class _Parser:
         return names
 
     def parse_path(self) -> str:
-        path = self.expect("NAME")
-        while self.tokens[self.pos][0] == ".":
+        """NAME or PATH tokens joined by `.` tokens, as in `A . b.c`."""
+        tokens = self.tokens
+        type_, path = tokens[self.pos]
+        if type_ != "NAME" and type_ != "PATH":
+            raise self.unexpected("NAME")
+        self.pos += 1
+        while tokens[self.pos][0] == ".":
             self.pos += 1
-            path += "." + self.expect("NAME")
+            type_, part = tokens[self.pos]
+            if type_ != "NAME" and type_ != "PATH":
+                raise self.unexpected("NAME")
+            path += "." + part
+            self.pos += 1
         return path
 
     def take_literal(self):
@@ -388,18 +418,21 @@ class _Parser:
 
     def parse_or(self) -> ex.Expr:
         first, rest = self.parse_and(), []
-        while self.take("NAME", "or"):
+        while self.tokens[self.pos] == ("NAME", "or"):
+            self.pos += 1
             rest.append(("or", self.parse_and()))
         return ex.chain(first, rest)
 
     def parse_and(self) -> ex.Expr:
         first, rest = self.parse_not(), []
-        while self.take("NAME", "and"):
+        while self.tokens[self.pos] == ("NAME", "and"):
+            self.pos += 1
             rest.append(("and", self.parse_not()))
         return ex.chain(first, rest)
 
     def parse_not(self) -> ex.Expr:
-        if self.take("NAME", "not"):
+        if self.tokens[self.pos] == ("NAME", "not"):
+            self.pos += 1
             self.enter()
             operand = self.parse_not()
             self.depth -= 1
@@ -416,22 +449,25 @@ class _Parser:
 
     def parse_additive(self) -> ex.Expr:
         first, rest = self.parse_primary(), []
-        while self.tokens[self.pos][0] in ("+", "-"):
-            rest.append((self.next(), self.parse_primary()))
+        while (op := self.tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
+            rest.append((op, self.parse_primary()))
         return ex.chain(first, rest)
 
     def parse_primary(self) -> ex.Expr:
+        type_, value = self.tokens[self.pos]
+        if type_ == "PATH" or type_ == "NAME" and value not in _BOOLEANS:
+            return ex.PathRef(self.parse_path())
         value = self.take_literal()
         if value is not None:
             return ex.Lit(value)
-        if self.take("("):
+        if type_ == "(":
+            self.pos += 1
             self.enter()
             inner = self.parse_or()
             self.expect(")")
             self.depth -= 1
             return inner
-        if self.at("NAME"):
-            return ex.PathRef(self.parse_path())
         raise self.error(
             self.pos,
             f"expected an expression, found {self.tokens[self.pos][1]!r}",
@@ -443,7 +479,16 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     """Parse DSL text into a model, declared events, and a chronology."""
     if isinstance(src, str):
         src = SourceUnit(src)
-    parser = _Parser(src.text, _tokenize(src))
+    tokens = _tokenize(src)
+    try:
+        return _parse(src.text, tokens)
+    except ParseError:
+        # one name a token, it fails at the token `_position` counts
+        return _parse(src.text, _tokenize(src, _LEXEME_RE))
+
+
+def _parse(text: str, tokens: list[tuple]):
+    parser = _Parser(text, tokens)
     try:
         (thimacs, actions, flows, triggers, event_decls, behavior_edges,
          terminals, repeatable) = parser.parse_file()

@@ -20,7 +20,7 @@ import operator
 import sys
 
 from ._record import record
-from .errors import GuardEvalError
+from .errors import GuardEvalError, ModelError
 
 #: Sentinel for a store that exists but has no value yet.
 UNSET = object()
@@ -184,11 +184,17 @@ def to_text(expr: Expr, loosest: int = OR) -> str:
     least as tightly as the run, each later one more tightly, as in
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
+    A path whose first part is `true`, `false` or `not` would read back
+    as a literal or a `not`, so it raises ModelError.
     """
     kind = type(expr)
     if kind is Lit:
         return _lit_text(expr.value)
     if kind is PathRef:
+        head = expr.path.partition(".")[0]
+        if head in ("true", "false", "not"):
+            raise ModelError(f"path '{expr.path}' cannot be written in an "
+                             f"expression, where '{head}' is a keyword")
         return expr.path
     if kind is Unary:
         binding, text = NOT, f"not {to_text(expr.operand, NOT)}"

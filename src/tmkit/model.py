@@ -115,7 +115,8 @@ class StaticModel:
 
     @functools.cached_property
     def stores(self) -> dict[str, Store]:
-        """Path -> store of each thimac that has one, in preorder."""
+        """Path -> store of each thimac that has one, in preorder;
+        `build_model` fills it in the walk that checks the paths."""
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
 
@@ -174,10 +175,13 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     thimacs = tuple(thimacs)
     # in preorder, the first repeated path is the first duplicate sibling
     paths = set()
-    for path, _ in _walk(thimacs):
+    stores = {}
+    for path, thimac in _walk(thimacs):
         if path in paths:
             raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
         paths.add(path)
+        if thimac.store is not None:
+            stores[path] = thimac.store
 
     table: dict[str, Action] = {}
     for action in actions:
@@ -209,7 +213,9 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
                 f"trigger {edge.src} --> {edge.dst} duplicates a flow edge")
         trigger_pairs.add((edge.src, edge.dst))
 
-    return StaticModel(thimacs, table, tuple(flows), tuple(triggers))
+    model = StaticModel(thimacs, table, tuple(flows), tuple(triggers))
+    vars(model)["stores"] = stores  # where the cached property keeps it
+    return model
 
 
 def _check_endpoints(edge, table):

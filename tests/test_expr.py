@@ -110,6 +110,25 @@ def test_to_text_reparses_to_the_same_tree(text, printed):
     assert _guard(printed) == guard
 
 
+@pytest.mark.parametrize("expr", [
+    Chain(PathRef("true"), (("+", Lit(1)),)),
+    Binary("=", PathRef("not"), Lit(1)),
+    Unary("not", PathRef("false.x")),
+    Binary("<", Lit(0), PathRef("not.b.c")),
+])
+def test_to_text_refuses_a_path_that_would_read_as_a_keyword(expr):
+    # `true + 1` would read back as a literal, `not = 1` as no expression
+    with pytest.raises(errors.ModelError, match="cannot be written"):
+        to_text(expr)
+
+
+@pytest.mark.parametrize("path", ["truex", "A.true", "nota.b", "A.not",
+                                  "falsey", "and", "or.x"])
+def test_to_text_writes_a_path_whose_head_is_no_keyword(path):
+    assert _guard(to_text(Binary("=", PathRef(path), Lit(1)))) == \
+        Binary("=", PathRef(path), Lit(1))
+
+
 def test_paths_in_walks_every_operand():
     guard = Unary("not", chain(PathRef("A"), [
         ("or", Binary("<", PathRef("B.c"), chain(PathRef("D"), [
