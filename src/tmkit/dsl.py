@@ -16,7 +16,7 @@ then classified once into a shared `(type, value)` tuple, so no object
 is built per token, and the parser reads those tuples by index, inline
 in the loops that run once per member, edge, cover, path or operand.
 No line or column is tracked: a text that fails is parsed again one
-name a lexeme (`_LEXEME_RE`), where its `ParseError` finds the position
+name a lexeme (`_NAME_LEXEME`), where its `ParseError` finds the position
 of its token by lexing the text once more, on the failure path only.
 """
 
@@ -45,7 +45,7 @@ _SKIP_RE = re.compile(_SKIP)
 #: with different characters, so their order only puts the common ones
 #: first; the catch-all error comes last, and longer punctuation comes
 #: first, so `-->` wins over `->` over `-`. `%s` takes a path's parts.
-_LEXEME = r"""
+_LEXEME = r"""(?x)
     ( [^\W\d]\w*%s                              # name or path
     | -->|->|:=|<=|>=|!=|[<>={};,.()+\-→]       # punctuation
     | \d+(?:\.\d*)?                             # number
@@ -54,10 +54,11 @@ _LEXEME = r"""
     )""" + _SKIP + r"""
   | \Z
 """
-#: One lexeme per name: the tokens that `_position` counts.
-_LEXEME_RE = re.compile(_LEXEME % "", re.VERBOSE)
 #: One lexeme per path written without blanks, `A.b.c`, too.
-_PATH_LEXEME_RE = re.compile(_LEXEME % r"(?:\.[^\W\d]\w*)*", re.VERBOSE)
+_PATH_LEXEME_RE = re.compile(_LEXEME % r"(?:\.[^\W\d]\w*)*")
+#: One lexeme per name: the tokens that `_position` counts. Only a text
+#: that fails needs them, so `re.compile` compiles it on first use.
+_NAME_LEXEME = _LEXEME % ""
 
 #: Dotted lexemes with these heads read as a keyword or a literal first.
 _HEADS = ("not.", "true.", "false.")
@@ -95,8 +96,8 @@ class ParseError(TmError):
 
 
 def _lexeme_matches(text: str):
-    """The matches of `_LEXEME_RE` over `text`, one per token."""
-    return _LEXEME_RE.finditer(text, _SKIP_RE.match(text).end())
+    """The matches of `_NAME_LEXEME` over `text`, one per token."""
+    return re.compile(_NAME_LEXEME).finditer(text, _SKIP_RE.match(text).end())
 
 
 def _classify(lexeme: str) -> tuple:
@@ -142,14 +143,14 @@ def _classify(lexeme: str) -> tuple:
 def is_name(text: str) -> bool:
     """Whether `text` is one name token: a thimac, event or path part."""
     return (_classify(text)[0] == "NAME"
-            and _LEXEME_RE.match(text).group(1) == text)
+            and _PATH_LEXEME_RE.match(text).group(1) == text)
 
 
 def _tokenize(src: SourceUnit, lexeme_re=_PATH_LEXEME_RE) -> list[tuple]:
     """The `(type, value)` tokens of the whole text, ending in EOF.
 
     A path written without blanks is one PATH token. If a lexeme is an
-    ERROR, the text is lexed again one name a token, with `_LEXEME_RE`,
+    ERROR, the text is lexed again one name a token, with `_NAME_LEXEME`,
     and then its first lexical error raises `ParseError`.
     """
     text = src.text
@@ -158,7 +159,7 @@ def _tokenize(src: SourceUnit, lexeme_re=_PATH_LEXEME_RE) -> list[tuple]:
     errors = {lexeme for lexeme, (type_, _) in kinds.items()
               if type_ == "ERROR"}
     if errors and lexeme_re is _PATH_LEXEME_RE:
-        return _tokenize(src, _LEXEME_RE)
+        return _tokenize(src, re.compile(_NAME_LEXEME))
     if errors:
         first = lexemes.index(next(filter(errors.__contains__, lexemes)))
         raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
@@ -483,8 +484,9 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     try:
         return _parse(src.text, tokens)
     except ParseError:
-        # one name a token, it fails at the token `_position` counts
-        return _parse(src.text, _tokenize(src, _LEXEME_RE))
+        # again one name a token: it fails alike, at a token `_position`
+        # can find
+        return _parse(src.text, _tokenize(src, re.compile(_NAME_LEXEME)))
 
 
 def _parse(text: str, tokens: list[tuple]):

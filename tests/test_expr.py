@@ -266,7 +266,7 @@ def _nesting(text):
     parser bounds them: a `not` holds until the next `and`, `or` or `)`
     of its level."""
     stack, deepest = [], 0
-    for lexeme in dsl._LEXEME_RE.findall(text):
+    for lexeme in dsl._PATH_LEXEME_RE.findall(text):
         if lexeme in ("(", "not"):
             stack.append(lexeme)
             deepest = max(deepest, len(stack))
