@@ -205,7 +205,9 @@ class _Parser:
     # -- token plumbing --
 
     def error(self, index: int, message: str, expected=()) -> ParseError:
-        """A `ParseError` at token `index`."""
+        """A `ParseError` at token `index`; at 0:0 if there is no text."""
+        if self.text is None:  # `parse` reads the text again to place it
+            return ParseError(0, 0, message, expected)
         return ParseError(*_position(self.text, index), message, expected)
 
     def unexpected(self, want: str) -> ParseError:
@@ -482,14 +484,12 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
         src = SourceUnit(src)
     tokens = _tokenize(src)
     try:
-        return _parse(src.text, tokens)
-    except ParseError:
-        # again one name a token: it fails alike, at a token `_position`
-        # can find
+        return _parse(None, tokens)
+    except ParseError:  # parsed again one name a token, to place the error
         return _parse(src.text, _tokenize(src, re.compile(_NAME_LEXEME)))
 
 
-def _parse(text: str, tokens: list[tuple]):
+def _parse(text: str | None, tokens: list[tuple]):
     parser = _Parser(text, tokens)
     try:
         (thimacs, actions, flows, triggers, event_decls, behavior_edges,

@@ -184,8 +184,7 @@ def to_text(expr: Expr, loosest: int = OR) -> str:
     least as tightly as the run, each later one more tightly, as in
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
-    A path whose first part is `true`, `false` or `not` would read back
-    as a literal or a `not`, so it raises ModelError.
+    A path whose first part is `true`, `false` or `not` raises ModelError.
     """
     kind = type(expr)
     if kind is Lit:

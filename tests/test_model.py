@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tmkit import dsl, errors, expr as ex, model as md
+from tmkit import corpus, dsl, errors, expr as ex, model as md
 from tmkit.model import (KIND_ORDER, Action, FlowEdge, StaticModel, Thimac,
                          TriggerEdge, build_model, canonicalize,
                          validate_static)
@@ -274,6 +274,16 @@ def test_every_built_model_prints_to_text_that_parses_back(static):
     text = dsl.print_text(static)
     assert dsl.parse(text)[0] == canonicalize(static)
     assert dsl.print_text(dsl.parse(text)[0]) == text
+
+
+def test_build_model_fills_the_store_index_in_its_walk():
+    for name in corpus.FIXTURES:
+        static = dsl.parse(corpus.fixture_text(name))[0]
+        walked = {path: t.store for path, t in static.iter_thimacs()
+                  if t.store is not None}
+        assert vars(static)["stores"] == walked
+        assert list(vars(static)["stores"]) == list(walked)  # preorder
+        assert canonicalize(static).stores == walked
 
 
 def test_containment_is_a_tree(parsed_corpus):
