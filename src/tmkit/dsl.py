@@ -5,8 +5,8 @@ flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 `#` starts a comment, and dotted paths resolve through thimac nesting.
 parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m)
 for every model m that `model.build_model` accepts, unless an expression
-in m reads a path whose first part is `true`, `false` or `not`. No text
-writes one, and print_text raises ModelError for it.
+in m reads a path no text writes (see `expr.to_text`): print_text raises
+ModelError for it.
 
 Cost. The whole file is lexed before parsing starts, in one C-level
 `findall` pass of `_PATH_LEXEME_RE` that skips blanks, line breaks and
@@ -15,9 +15,9 @@ written without blanks, `A.b.c`, is one lexeme. Each distinct lexeme is
 then classified once into a shared `(type, value)` tuple, so no object
 is built per token, and the parser reads those tuples by index, inline
 in the loops that run once per member, edge, cover, path or operand.
-No line or column is tracked: a text that fails is parsed again one
-name a lexeme (`_NAME_LEXEME`), where its `ParseError` finds the position
-of its token by lexing the text once more, on the failure path only.
+No line or column is tracked: a text that fails, or has a lexeme `not.x`,
+is lexed and parsed again one name a lexeme (`_NAME_LEXEME`), where a
+`ParseError` finds its token's position by lexing once more.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _classify(lexeme: str) -> tuple:
     A token's type is NAME, PATH (dotted names), NUMBER, STRING, EOF or
     the punctuation itself. A dotted lexeme that is no path, because a
     part is no name or its head is `not`, `true` or `false`, is an ERROR
-    with no message: `_tokenize` lexes its text one name a token.
+    with no message: `parse` lexes its text again one name a token.
     """
     first = lexeme[:1]
     # in ASCII, `[^\W\d]` is a letter or `_`, so each part is a name
@@ -147,19 +147,16 @@ def is_name(text: str) -> bool:
 
 
 def _tokenize(src: SourceUnit, lexeme_re=_PATH_LEXEME_RE) -> list[tuple]:
-    """The `(type, value)` tokens of the whole text, ending in EOF.
-
-    A path written without blanks is one PATH token. If a lexeme is an
-    ERROR, the text is lexed again one name a token, with `_NAME_LEXEME`,
-    and then its first lexical error raises `ParseError`.
-    """
+    """The `(type, value)` tokens of the whole text, ending in EOF; a path
+    without blanks is one PATH token with `_PATH_LEXEME_RE`, where an
+    ERROR raises `ParseError` at 0:0, placed only with `_NAME_LEXEME`."""
     text = src.text
     lexemes = lexeme_re.findall(text, _SKIP_RE.match(text).end())
     kinds = {lexeme: _classify(lexeme) for lexeme in set(lexemes)}
     errors = {lexeme for lexeme, (type_, _) in kinds.items()
               if type_ == "ERROR"}
-    if errors and lexeme_re is _PATH_LEXEME_RE:
-        return _tokenize(src, re.compile(_NAME_LEXEME))
+    if errors and lexeme_re is _PATH_LEXEME_RE:  # `parse` lexes it again
+        raise ParseError(0, 0, "not lexed as paths")
     if errors:
         first = lexemes.index(next(filter(errors.__contains__, lexemes)))
         raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
@@ -482,10 +479,9 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     """Parse DSL text into a model, declared events, and a chronology."""
     if isinstance(src, str):
         src = SourceUnit(src)
-    tokens = _tokenize(src)
     try:
-        return _parse(None, tokens)
-    except ParseError:  # parsed again one name a token, to place the error
+        return _parse(None, _tokenize(src))
+    except ParseError:  # again one name a token, to place the error
         return _parse(src.text, _tokenize(src, re.compile(_NAME_LEXEME)))
 
 

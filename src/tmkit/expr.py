@@ -176,7 +176,7 @@ def compiled(expr: Expr):
     return run
 
 
-def to_text(expr: Expr, loosest: int = OR) -> str:
+def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     """Deterministic concrete syntax; reparses to an equal expression.
 
     In parentheses only if it binds looser than `loosest`, the binding
@@ -184,26 +184,31 @@ def to_text(expr: Expr, loosest: int = OR) -> str:
     least as tightly as the run, each later one more tightly, as in
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
-    A path whose first part is `true`, `false` or `not` raises ModelError.
+    A path headed `true` or `false` raises ModelError, as does one headed
+    `not` where `lead`, the binding the text starts at (`loosest` but in
+    a first operand), reads `not` as the keyword: `not = 1` is no guard.
     """
+    lead = loosest if lead is None else lead
     kind = type(expr)
     if kind is Lit:
         return _lit_text(expr.value)
     if kind is PathRef:
         head = expr.path.partition(".")[0]
-        if head in ("true", "false", "not"):
-            raise ModelError(f"path '{expr.path}' cannot be written in an "
-                             f"expression, where '{head}' is a keyword")
+        if head in ("true", "false") or head == "not" and lead <= NOT:
+            raise ModelError(f"path '{expr.path}' cannot be written where "
+                             f"'{head}' reads as a keyword")
         return expr.path
+    binding = NOT if kind is Unary else COMPARISON if kind is Binary \
+        else _RUN[expr.rest[0][0]]
+    # a first operand starts where this text starts, or after its `(`
+    first_lead = OR if binding < loosest else lead
     if kind is Unary:
-        binding, text = NOT, f"not {to_text(expr.operand, NOT)}"
+        text = f"not {to_text(expr.operand, NOT)}"
     elif kind is Binary:
-        binding = COMPARISON
-        text = (f"{to_text(expr.left, SUM)} {expr.op} "
+        text = (f"{to_text(expr.left, SUM, first_lead)} {expr.op} "
                 f"{to_text(expr.right, SUM)}")
     else:
-        binding = _RUN[expr.rest[0][0]]
-        parts = [to_text(expr.first, binding)]
+        parts = [to_text(expr.first, binding, first_lead)]
         for op, operand in expr.rest:
             parts.append(f" {op} {to_text(operand, binding + 1)}")
         text = "".join(parts)

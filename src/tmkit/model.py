@@ -115,8 +115,8 @@ class StaticModel:
 
     @functools.cached_property
     def stores(self) -> dict[str, Store]:
-        """Path -> store of each thimac that has one, in preorder;
-        `build_model` fills it in the walk that checks the paths."""
+        """Path -> store of each thimac that has one, in preorder; found
+        here only for a model not from `build_model`, which fills it."""
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
 

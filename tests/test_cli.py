@@ -763,6 +763,26 @@ def test_fmt_writes_an_update_rule_that_is_no_sum_in_parentheses(
     assert run(capsys, "check", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("rule, guard", [
+    ("not + 1", "A = 1 + not"), ("not.b - not", "A < not.b or not A = not")])
+def test_fmt_writes_a_not_path_where_a_sum_reads_it(capsys, tmp_path, rule,
+                                                    guard):
+    # where the parser reads a sum, `not` starts a path, not a negation
+    path = tmp_path / "not.tm"
+    path.write_text(
+        "thimac not { store = 0; thimac b { store = 0; } }\n"
+        f"thimac A {{ store = 0; create; process = A := {rule}; }}\n"
+        "event D covers { A.create }; event E covers { A.process };\n"
+        f"behavior {{ D -> E guard {guard}; }}\n")
+    code, out, err = run(capsys, "fmt", str(path))
+    assert (code, err) == (0, "")
+    assert f"process = A := {rule};" in out and f"guard {guard};" in out
+    path.write_text(out)
+    assert run(capsys, "check", str(path))[::2] == (0, "")
+    code, out, err = run(capsys, "dot", "--target", "behavior", str(path))
+    assert (code, err) == (0, "") and f'label="{guard}"' in out
+
+
 @pytest.mark.parametrize("shape", ["parens", "nots", "sums", "runs"])
 def test_expressions_nested_past_the_bound_are_a_parse_error(
         capsys, tmp_path, shape):

@@ -242,7 +242,7 @@ def test_is_name_is_the_lexers_name_rule(text, expected):
 ])
 def test_tokenizer_error_positions(text, line, col, message):
     with pytest.raises(dsl.ParseError) as exc:
-        dsl._tokenize(dsl.SourceUnit(text))
+        dsl.parse(text)  # lexed whole before any parsing
     assert (exc.value.line, exc.value.column, exc.value.message) == \
         (line, col, message)
 

@@ -1,10 +1,12 @@
+import contextlib
 import operator
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmkit import dsl, errors
+from tmkit import dsl, errors, expr as ex
 from tmkit.errors import GuardEvalError
 from tmkit.events import BehaviorEdge
 from tmkit.expr import (UNSET, Binary, Chain, Lit, PathRef, Unary, chain,
@@ -114,7 +116,9 @@ def test_to_text_reparses_to_the_same_tree(text, printed):
     Chain(PathRef("true"), (("+", Lit(1)),)),
     Binary("=", PathRef("not"), Lit(1)),
     Unary("not", PathRef("false.x")),
-    Binary("<", Lit(0), PathRef("not.b.c")),
+    Binary("<", Lit(0), PathRef("true.b.c")),
+    chain(Lit(1), [("and", Chain(PathRef("not.x"), (("-", Lit(1)),)))]),
+    Chain(Lit(1), (("+", Binary("<", PathRef("not"), Lit(2))),)),
 ])
 def test_to_text_refuses_a_path_that_would_read_as_a_keyword(expr):
     # `true + 1` would read back as a literal, `not = 1` as no expression
@@ -127,6 +131,36 @@ def test_to_text_refuses_a_path_that_would_read_as_a_keyword(expr):
 def test_to_text_writes_a_path_whose_head_is_no_keyword(path):
     assert _guard(to_text(Binary("=", PathRef(path), Lit(1)))) == \
         Binary("=", PathRef(path), Lit(1))
+
+
+@pytest.mark.parametrize("text", ["A = not", "A = 1 + not.x", "not A = not",
+                                  "A < not - 1 or B = not.b"])
+def test_to_text_writes_a_not_path_where_not_reads_as_a_path(text):
+    guard = _guard(text)
+    assert to_text(guard) == text and _guard(to_text(guard)) == guard
+
+
+def _rule(text):
+    """Parse `text` as the update rule of a process action."""
+    static, _, _ = dsl.parse(
+        f"thimac A {{ store = 0; process = A := {text}; }}\n")
+    return static.actions["A.process"].update[1]
+
+
+def _renamed(expr, names):
+    """`expr` with each path in `names` replaced by the name it maps to."""
+    kind = type(expr)
+    if kind is PathRef:
+        return PathRef(names.get(expr.path, expr.path))
+    if kind is Unary:
+        return Unary(expr.op, _renamed(expr.operand, names))
+    if kind is Binary:
+        return Binary(expr.op, _renamed(expr.left, names),
+                      _renamed(expr.right, names))
+    if kind is Chain:
+        return Chain(_renamed(expr.first, names), tuple(
+            (op, _renamed(operand, names)) for op, operand in expr.rest))
+    return expr
 
 
 def test_paths_in_walks_every_operand():
@@ -214,18 +248,24 @@ def _runs(inner, ops):
         st.tuples(ops, inner), min_size=1, max_size=3))
 
 
-#: Expressions as the parser builds them: every run through `chain`.
-_CANONICAL = st.recursive(
-    st.one_of(st.builds(Lit, _LITERALS),
-              st.builds(PathRef, st.sampled_from(_ALL_NAMES))),
-    lambda inner: st.one_of(
-        st.builds(Unary, st.just("not"), inner),
-        st.builds(Binary, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
-                  inner, inner),
-        _runs(inner, st.sampled_from(["+", "-"])),
-        _runs(inner, st.just("and")),
-        _runs(inner, st.just("or"))),
-    max_leaves=12)
+def _trees(names):
+    """Expressions as the parser builds them, every run through `chain`,
+    reading the paths `names`."""
+    return st.recursive(
+        st.one_of(st.builds(Lit, _LITERALS),
+                  st.builds(PathRef, st.sampled_from(names))),
+        lambda inner: st.one_of(
+            st.builds(Unary, st.just("not"), inner),
+            st.builds(Binary,
+                      st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+                      inner, inner),
+            _runs(inner, st.sampled_from(["+", "-"])),
+            _runs(inner, st.just("and")),
+            _runs(inner, st.just("or"))),
+        max_leaves=12)
+
+
+_CANONICAL = _trees(_ALL_NAMES)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,6 +274,30 @@ def test_parse_of_to_text_is_the_same_expression(expr):
     parsed = _guard(to_text(expr))
     assert parsed == expr and hash(parsed) == hash(expr)
     assert to_text(parsed) == to_text(expr)
+
+
+#: Paths whose first part is a keyword, each with a stand-in name longer
+#: than any string literal the trees hold.
+_KEYWORD_PATHS = {"not": "Qz__0", "not.x": "Qz__1", "true": "Qz__2",
+                  "false.y": "Qz__3"}
+_KEYWORD_OF = {stand_in: path for path, stand_in in _KEYWORD_PATHS.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(["A", *_KEYWORD_PATHS]), st.booleans())
+def test_to_text_refuses_exactly_the_paths_that_read_back_otherwise(
+        expr, rule):
+    parse, loosest = (_rule, ex.SUM) if rule else (_guard, ex.OR)
+    # the text to_text would write if each keyword path were a name
+    text = re.sub(r"Qz__\d", lambda match: _KEYWORD_OF[match[0]],
+                  to_text(_renamed(expr, _KEYWORD_PATHS), loosest))
+    try:
+        written = to_text(expr, loosest)
+    except errors.ModelError:
+        with contextlib.suppress(dsl.ParseError):
+            assert parse(text) != expr
+    else:
+        assert written == text and parse(text) == expr
 
 
 def _binding(expr):

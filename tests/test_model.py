@@ -265,8 +265,9 @@ def test_every_built_model_prints_to_text_that_parses_back(static):
     unwritable = {path for action in static.actions.values()
                   if action.update is not None
                   for path in ex.paths_in(action.update[1])
-                  if path.partition(".")[0] in ("true", "not")}
-    if unwritable:  # no text reads such a path in an expression
+                  if path.partition(".")[0] in ("true", "false")}
+    if unwritable:  # no text reads such a path; `not.b` reads as a path
+        # where a sum is read, as in an update rule
         with pytest.raises(errors.ModelError) as exc:
             dsl.print_text(static)
         assert str(exc.value).split("'")[1] in unwritable
