@@ -467,6 +467,15 @@ def test_command_output_matches_golden(capsys, name, slug):
     assert out == stdout.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", corpus.FIXTURES)
+def test_to_tm_matches_golden(capsys, name):
+    # the class JSON of each fixture, as `to-class` writes it
+    source = (Path(corpus.fixture_path("bank")).with_name("bank_classes.json")
+              if name == "bank" else GOLDEN / f"{name}_classes.json")
+    assert run(capsys, "to-tm", str(source)) == (
+        0, (GOLDEN / f"{name}_to_tm.stdout").read_text(encoding="utf-8"), "")
+
+
 def test_to_tm_then_to_class_is_identity(capsys, tmp_path, bank_path):
     code, class_json, _ = run(capsys, "to-class", bank_path)
     json_file = tmp_path / "bank.json"

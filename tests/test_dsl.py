@@ -124,6 +124,21 @@ def test_print_empty_model():
     assert dsl.print_text(static, events, behavior) == "\n"
 
 
+@pytest.mark.parametrize("keyword, arrow", [("flow", "->"),
+                                            ("trigger", "-->")])
+def test_edges_print_in_src_dst_order_when_one_path_prefixes_another(
+        keyword, arrow):
+    # `A.create` sorts before `A.create1.receive` as a path, but a line
+    # ending in `A.create;` would sort after one going on with `1`
+    thimacs = ("thimac A {\n    create;\n    thimac create1 {\n"
+               "        receive;\n    }\n}\n\nthimac X {\n    transfer;\n}\n")
+    text = (thimacs + f"{keyword} X.transfer {arrow} A.create1.receive;\n"
+            f"{keyword} X.transfer {arrow} A.create;\n")
+    assert dsl.print_text(*dsl.parse(text)) == (
+        thimacs + f"\n{keyword} X.transfer {arrow} A.create;\n"
+        f"{keyword} X.transfer {arrow} A.create1.receive;\n")
+
+
 @pytest.mark.parametrize("name", corpus.FIXTURES)
 def test_round_trip_parse_print(name, parsed_corpus):
     static, events, behavior = parsed_corpus[name]

@@ -352,6 +352,27 @@ def test_json_field_that_is_not_an_array(payload, where):
     assert str(exc.value) == f"{where}: expected an array"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"classes": [{"name": "9x"}, 7]},
+     "/classes/0/name: not a .tm name: '9x'"),
+    ({"classes": [{"name": "A", "attributes": [
+        {"name": "a", "type": "int"}, {"name": "b", "type": "number",
+                                      "z": 1}]}]},
+     "/classes/0/attributes/0/type: expected one of number, text, boolean, "
+     "reference"),
+    ({"classes": [{"name": "A", "methods": [
+        {"name": "m", "params": [{"name": "p", "type": "x"}, 3]}]}]},
+     "/classes/0/methods/0/params/0/type: expected one of number, text, "
+     "boolean, reference"),
+    ({"classes": [{"name": "A", "parent": 5, "attributes": [7]}]},
+     "/classes/0/parent: expected a string or null"),
+])
+def test_json_reports_the_first_fault_met_item_by_item(payload, message):
+    with pytest.raises(errors.SchemaError) as exc:
+        read_class_json(json.dumps(payload))
+    assert str(exc.value) == message
+
+
 def test_json_golden_fixture_parses_to_bank_model(bank):
     from importlib import resources
     static, _, _ = bank
