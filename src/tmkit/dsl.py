@@ -63,6 +63,9 @@ _NAME_LEXEME = _LEXEME % ""
 #: Dotted lexemes with these heads read as a keyword or a literal first.
 _HEADS = ("not.", "true.", "false.")
 
+#: kind -> its place in `KIND_ORDER`, where `print_text` puts it
+_KIND_RANK = {kind: i for i, kind in enumerate(md.KIND_ORDER)}
+
 _COMPARISONS = frozenset(["<=", ">=", "!=", "<", ">", "="])
 
 _PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
@@ -132,8 +135,8 @@ def _classify(lexeme: str) -> tuple:
             pass  # digits than int() reads (4300)
         return ("ERROR", f"number too long: {len(lexeme)} digits")
     # `\w` admits digits such as '²' that str.isalpha() rejects
-    parts = lexeme.split(".")
-    if (all(part[0].isalpha() or part[0] == "_" for part in parts)
+    parts = lexeme.split(".")  # `is_name` may pass an empty part
+    if (all(part[:1].isalpha() or part[:1] == "_" for part in parts)
             and not lexeme.startswith(_HEADS)):
         return ("PATH" if len(parts) > 1 else "NAME", lexeme)
     return ("ERROR", f"unexpected character {first!r}" if len(parts) == 1
@@ -142,6 +145,8 @@ def _classify(lexeme: str) -> tuple:
 
 def is_name(text: str) -> bool:
     """Whether `text` is one name token: a thimac, event or path part."""
+    if text.isascii():  # where `[^\W\d]\w*` is an identifier
+        return text.isidentifier()
     return (_classify(text)[0] == "NAME"
             and _PATH_LEXEME_RE.match(text).group(1) == text)
 
@@ -518,12 +523,12 @@ def _parse(text: str | None, tokens: list[tuple]):
 
 
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
-    """Emit canonical DSL text; deterministic and parse-stable."""
-    static = md.canonicalize(static)
+    """Emit the canonical DSL text of `canonicalize(static)`, with no sort
+    of the whole action table; deterministic and parse-stable."""
     blocks = ["\n".join(_thimac_lines(t, t.name, static.actions_by_owner, ""))
               for t in static.thimacs]
-    sections = ([f"flow {e.src} -> {e.dst};" for e in static.flows],
-                [f"trigger {e.src} --> {e.dst};" for e in static.triggers],
+    sections = (_edge_lines("flow", "->", static.flows),
+                _edge_lines("trigger", "-->", static.triggers),
                 [_event_line(ev) for ev in events])
     blocks += ["\n".join(lines) for lines in sections if lines]
     if behavior is not None:
@@ -533,6 +538,14 @@ def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
             if names:
                 blocks.append(f"{keyword} {', '.join(sorted(names))};")
     return "\n\n".join(blocks) + "\n"
+
+
+def _edge_lines(keyword, arrow, edges):
+    """`keyword src arrow dst;` per edge, in (src, dst) order: sorted before
+    the `;`, as a blank or the end sorts below any path character after a
+    path that prefixes another, and `;` sorts above a digit."""
+    return [line + ";" for line in sorted(
+        [f"{keyword} {e.src} {arrow} {e.dst}" for e in edges])]
 
 
 def _thimac_lines(thimac: md.Thimac, path, owned, indent):
@@ -547,7 +560,7 @@ def _thimac_lines(thimac: md.Thimac, path, owned, indent):
         else:
             lines.append(f"{inner}store = {ex._lit_text(thimac.store.value)};")
     for action in sorted(owned.get(path, ()),
-                         key=lambda a: md.KIND_ORDER.index(a.kind)):
+                         key=lambda a: _KIND_RANK[a.kind]):
         if action.update is not None:
             target, rule = action.update
             lines.append(f"{inner}{action.kind} = {target} := "

@@ -20,6 +20,7 @@ from .errors import (DuplicateEdge, DuplicateId, DuplicateSiblingName,
 #: The generic action kinds, as their `.tm` keywords, in canonical order
 #: inside a thimac: their declaration order
 KIND_ORDER = ("create", "process", "release", "transfer", "receive")
+_KINDS = frozenset(KIND_ORDER)
 
 #: Legal (from-kind, to-kind) pairs for a flow inside one thimac.
 LEGAL_INTRA = {
@@ -185,33 +186,36 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
 
     table: dict[str, Action] = {}
     for action in actions:
-        aid = action.id
-        if action.kind not in KIND_ORDER:
-            raise ModelError(f"action '{aid}' has unknown kind "
-                             f"{action.kind!r}")
+        owner, kind = action.owner, action.kind
+        aid = f"{owner}.{kind}"  # `action_id`, inline in this hot loop
+        if kind not in _KINDS:
+            raise ModelError(f"action '{aid}' has unknown kind {kind!r}")
         if aid in table:
             raise DuplicateId(f"duplicate action id '{aid}'")
-        if action.owner not in paths:
+        if owner not in paths:
             raise UnknownPath(
-                f"action '{aid}' owner '{action.owner}' does not exist")
+                f"action '{aid}' owner '{owner}' does not exist")
         table[aid] = action
 
     flow_pairs = set()
     for edge in flows:
-        _check_endpoints(edge, table)
-        if (edge.src, edge.dst) in flow_pairs:
-            raise DuplicateEdge(f"duplicate flow {edge.src} -> {edge.dst}")
-        flow_pairs.add((edge.src, edge.dst))
+        pair = src, dst = edge.src, edge.dst
+        if src not in table or dst not in table:
+            _check_endpoints(edge, table)
+        if pair in flow_pairs:
+            raise DuplicateEdge(f"duplicate flow {src} -> {dst}")
+        flow_pairs.add(pair)
     trigger_pairs = set()
     for edge in triggers:
-        _check_endpoints(edge, table)
-        if (edge.src, edge.dst) in trigger_pairs:
-            raise DuplicateEdge(
-                f"duplicate trigger {edge.src} --> {edge.dst}")
-        if (edge.src, edge.dst) in flow_pairs:
+        pair = src, dst = edge.src, edge.dst
+        if src not in table or dst not in table:
+            _check_endpoints(edge, table)
+        if pair in trigger_pairs:
+            raise DuplicateEdge(f"duplicate trigger {src} --> {dst}")
+        if pair in flow_pairs:
             raise TriggerShadowsFlow(
-                f"trigger {edge.src} --> {edge.dst} duplicates a flow edge")
-        trigger_pairs.add((edge.src, edge.dst))
+                f"trigger {src} --> {dst} duplicates a flow edge")
+        trigger_pairs.add(pair)
 
     model = StaticModel(thimacs, table, tuple(flows), tuple(triggers))
     vars(model)["stores"] = stores  # where the cached property keeps it

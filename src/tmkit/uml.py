@@ -25,6 +25,8 @@ hierarchy), at most 981 times the linear size.
 
 JSON. `write_class_json` writes `json.dumps(payload, indent=2,
 sort_keys=True)`'s bytes through `_json`'s helpers, in linear time.
+`read_class_json` reports the first fault it meets, item by item, and
+builds a JSON path such as `/classes/0/name` only for the error it names.
 """
 
 from __future__ import annotations
@@ -38,9 +40,16 @@ from ._record import record
 from .errors import (AmbiguousSubthimac, CyclicGeneralization,
                      SchemaError, UmlError)
 
-#: default store literal used when expanding an attribute of a given type
-_TYPE_DEFAULTS = {"number": 0, "text": "", "boolean": False,
-                  "reference": None}
+#: an attribute's store per value type: records are immutable, so shared
+_STORES = {"number": md.Store(0), "text": md.Store(""),
+           "boolean": md.Store(False), "reference": md.Store(None)}
+
+#: an attribute's five flows, as suffixes of its path: the setter enters
+#: via Transfer/Receive and lands in the store through Process/Create;
+#: the getter leaves via Release/Transfer
+_ATTRIBUTE_FLOWS = ((".transfer", ".receive"), (".receive", ".process"),
+                    (".process", ".create"), (".create", ".release"),
+                    (".release", ".transfer"))
 
 
 @record
@@ -180,22 +189,16 @@ def _expand(cls: ClassDef, prefix: str, children, actions, flows) \
     # a loop, not a comprehension: one frame per level of nesting
     for sub in children.get(cls.name, []):
         subs.append(_expand(sub, path, children, actions, flows))
-    return md.Thimac(cls.name, specializes=prefix != "",
-                     subthimacs=tuple(subs))
+    return md.Thimac(cls.name, prefix != "", None, tuple(subs))
 
 
 def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
     path = f"{prefix}.{attr.name}"
-    actions.extend(md.Action(path, kind) for kind in md.KIND_ORDER)
-    # setter enters via Transfer/Receive and lands in the store through
-    # Process/Create; getter leaves via Release/Transfer
-    for src, dst in (("transfer", "receive"), ("receive", "process"),
-                     ("process", "create"), ("create", "release"),
-                     ("release", "transfer")):
-        flows.append(md.FlowEdge(md.action_id(path, src),
-                                 md.action_id(path, dst)))
-    store = md.Store(_TYPE_DEFAULTS[attr.value_type])
-    return md.Thimac(attr.name, store=store)
+    actions += [md.Action(path, kind) for kind in md.KIND_ORDER]
+    # each end is `md.action_id(path, kind)`
+    flows += [md.FlowEdge(path + src, path + dst)
+              for src, dst in _ATTRIBUTE_FLOWS]
+    return md.Thimac(attr.name, False, _STORES[attr.value_type])
 
 
 def _method_thimac(method: MethodDef, prefix, actions):
@@ -241,31 +244,32 @@ def read_class_json(text: str) -> ClassModel:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise SchemaError(f"/: not valid JSON ({exc})") from exc
-    _require(isinstance(payload, dict), "/", "expected an object")
-    _reject_unknown(payload, {"classes"}, "")
-    _require("classes" in payload, "/classes", "missing")
+    if not isinstance(payload, dict):
+        raise SchemaError("/: expected an object")
+    _reject_unknown(payload, {"classes"}, ())
+    if "classes" not in payload:
+        raise SchemaError("/classes: missing")
     classes = [_read_class(raw, where) for raw, where in _objects(
-        payload, "classes", {"name", "parent", "attributes", "methods"}, "")]
+        payload, "classes", {"name", "parent", "attributes", "methods"}, ())]
     return ClassModel(tuple(classes))
 
 
 def _read_class(raw, where) -> ClassDef:
     name = _read_name(raw, where)
     parent = raw.get("parent")
-    _require(parent is None or isinstance(parent, str), f"{where}/parent",
-             "expected a string or null")
+    if not (parent is None or isinstance(parent, str)):
+        raise _error(where, "parent", "expected a string or null")
     attributes = [
-        AttributeDef(_read_name(item, sub), _read_type(item, "type", sub))
+        AttributeDef(_read_name(item, sub), _read_type(item, sub))
         for item, sub in _objects(raw, "attributes", {"name", "type"}, where)]
     methods = []
     for item, sub in _objects(raw, "methods", {"name", "params", "returns"},
                               where):
-        params = [
-            (_read_name(p, psub), _read_type(p, "type", psub))
-            for p, psub in _objects(item, "params", {"name", "type"}, sub)]
+        params = [(_read_name(p, psub), _read_type(p, psub)) for p, psub
+                  in _objects(item, "params", {"name", "type"}, sub)]
         returns = item.get("returns")
-        _require(returns is None or returns in md.VALUE_TYPES,
-                 f"{sub}/returns", "expected a value type or null")
+        if not (returns is None or returns in md.VALUE_TYPES):
+            raise _error(sub, "returns", "expected a value type or null")
         methods.append(MethodDef(_read_name(item, sub),
                                  tuple(params), returns))
     return ClassDef(name, tuple(attributes), tuple(methods), parent)
@@ -273,41 +277,49 @@ def _read_class(raw, where) -> ClassDef:
 
 def _objects(raw, key, fields, where):
     """Yield each item of the array `raw[key]`, none if it is absent, with
-    its JSON path, once it is known to be an object of only `fields`."""
+    its place `(where, key, index)`, once it is known to be an object of
+    only `fields`."""
     items = raw.get(key, [])
-    _require(isinstance(items, list), f"{where}/{key}", "expected an array")
+    if not isinstance(items, list):
+        raise _error(where, key, "expected an array")
     for i, item in enumerate(items):
-        sub = f"{where}/{key}/{i}"
-        _require(isinstance(item, dict), sub, "expected an object")
-        _reject_unknown(item, fields, sub)
-        yield item, sub
+        if not isinstance(item, dict):
+            raise _error(where, f"{key}/{i}", "expected an object")
+        place = (where, key, i)
+        _reject_unknown(item, fields, place)
+        yield item, place
 
 
 def _read_name(raw, where):
     name = raw.get("name")
     if not (isinstance(name, str) and dsl.is_name(name)):
-        # the messages are built only here, on the way to an error
-        _require("name" in raw, f"{where}/name", "missing")
-        _require(isinstance(name, str) and name, f"{where}/name",
-                 "expected a non-empty string")
-        raise SchemaError(f"{where}/name: not a .tm name: {name!r}")
+        if "name" not in raw:
+            raise _error(where, "name", "missing")
+        if not (isinstance(name, str) and name):
+            raise _error(where, "name", "expected a non-empty string")
+        raise _error(where, "name", f"not a .tm name: {name!r}")
     return name
 
 
-def _read_type(raw, key, where):
-    if raw.get(key) not in md.VALUE_TYPES:
-        _require(key in raw, f"{where}/{key}", "missing")
-        raise SchemaError(f"{where}/{key}: expected one of "
-                          f"{', '.join(md.VALUE_TYPES)}")
-    return raw[key]
+def _read_type(raw, where):
+    value_type = raw.get("type")
+    if value_type not in md.VALUE_TYPES:
+        raise _error(where, "type", (
+            f"expected one of {', '.join(md.VALUE_TYPES)}" if "type" in raw
+            else "missing"))
+    return value_type
 
 
 def _reject_unknown(raw, allowed, where):
     if not raw.keys() <= allowed:
         key = next(key for key in raw if key not in allowed)
-        raise SchemaError(f"{where}/{key}: unknown field")
+        raise _error(where, key, "unknown field")
 
 
-def _require(condition, where, message):
-    if not condition:
-        raise SchemaError(f"{where}: {message}")
+def _error(where, field, message) -> SchemaError:
+    """The error at `field` of the item at `where`: `()` for the payload,
+    else the item's `(parent's where, key, index)`."""
+    while where:
+        where, key, index = where
+        field = f"{key}/{index}/{field}"
+    return SchemaError(f"/{field}: {message}")

@@ -312,7 +312,8 @@ def _hostile_json(payload) -> str:
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
-    st.sampled_from(["A", "x", "Account", *VALUE_TYPES, _DEEP, _LONG]),
+    st.sampled_from(["A", "x", "Account", "é.", ".é", "A.é", *VALUE_TYPES,
+                     _DEEP, _LONG]),
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.sampled_from(["name", "type", "x"]),
                     st.sampled_from(["a", "number", _DEEP]), max_size=2))
@@ -538,6 +539,15 @@ def test_to_tm_rejects_json_it_cannot_read(capsys, tmp_path, text, message):
      "/classes/0/methods/0/params/0/name", "a-b"),
     ({"name": "2go"}, "/classes/0/name", "2go"),
     ({"name": "9" * 400}, "/classes/0/name", "9" * 400),
+    # non-ASCII with an empty dotted part
+    ({"name": "é."}, "/classes/0/name", "é."),
+    ({"name": "A", "attributes": [{"name": ".é", "type": "number"}]},
+     "/classes/0/attributes/0/name", ".é"),
+    ({"name": "A", "methods": [{"name": "ß."}]},
+     "/classes/0/methods/0/name", "ß."),
+    ({"name": "A", "methods": [{"name": "go", "params": [
+        {"name": "a.é.", "type": "text"}]}]},
+     "/classes/0/methods/0/params/0/name", "a.é."),
 ])
 def test_to_tm_rejects_a_name_that_is_not_a_tm_name(capsys, tmp_path, cls,
                                                    where, name):

@@ -246,6 +246,22 @@ def test_is_name_is_the_lexers_name_rule(text, expected):
         assert dsl._tokenize(dsl.SourceUnit(text))[0] == ("NAME", text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    [*"abcxyzABCXYZ", *"0123456789", *"_. \t\n#", *"éß²½", "\u0301"]),
+    max_size=8))
+@example("é.")
+@example(".é")
+@example("a.é.")
+def test_is_name_holds_exactly_for_a_text_lexed_as_one_name(text):
+    try:
+        one_name = dsl._tokenize(dsl.SourceUnit(text)) == [("NAME", text),
+                                                          ("EOF", None)]
+    except dsl.ParseError:
+        one_name = False
+    assert dsl.is_name(text) is one_name
+
+
 @pytest.mark.parametrize("text, line, col, message", [
     ('a\n  "abc', 2, 3, "unterminated string literal"),
     ('a\n  "abc\nd"', 2, 3, "unterminated string literal"),
