@@ -145,7 +145,7 @@ def _classify(lexeme: str) -> tuple:
 
 def is_name(text: str) -> bool:
     """Whether `text` is one name token: a thimac, event or path part."""
-    if text.isascii():  # where `[^\W\d]\w*` is an identifier
+    if text.isascii():  # in ASCII, a name `[^\W\d]\w*` is an identifier
         return text.isidentifier()
     return (_classify(text)[0] == "NAME"
             and _PATH_LEXEME_RE.match(text).group(1) == text)
