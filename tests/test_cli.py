@@ -477,6 +477,39 @@ def test_to_tm_matches_golden(capsys, name):
         0, (GOLDEN / f"{name}_to_tm.stdout").read_text(encoding="utf-8"), "")
 
 
+_BANK_FILLS = ["--world", "BankAccount=savings", "--world",
+               "BankAccount.SavingsAccount=withdrawal",
+               "--world", "BankAccount.balance=100"]
+_NO_BEHAVIOR = "error: file declares no behavioral model\n"
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "trace"), ("json", "json")])
+@pytest.mark.parametrize("name, argv, trace, code, err", [
+    ("bank", [*_BANK_FILLS, "--input", "E9:150"],
+     "bank_savings_withdrawal_150", 0, ""),
+    ("bank", _BANK_FILLS, None, 1,
+     "error: event 'E9' needs an input payload\n"),
+    ("beef", ["--input", "E1:main dish"], "beef_order", 0, ""),
+    ("beef", [], None, 1, "Stuck\n"),
+    ("human", ["--world", "Human.name=Bob", "--world", "Human.weight=150",
+               "--world", "Human.gender=male", "--input", "Eat:snack"],
+     "human_bob_eats", 0, ""),
+    ("person", [], None, 1, _NO_BEHAVIOR),
+    ("stack", [], None, 1, _NO_BEHAVIOR),
+])
+def test_simulate_matches_golden(capsys, name, argv, trace, code, err, fmt,
+                                 suffix):
+    """A run that completes writes the golden trace of `test_sim`; a stuck
+    run writes an empty one, and an error run writes nothing."""
+    out = ""
+    if trace is not None:
+        out = (GOLDEN / f"{trace}.{suffix}").read_text(encoding="utf-8")
+    elif err == "Stuck\n" and fmt == "json":
+        out = "[]\n"
+    assert run(capsys, "simulate", corpus.fixture_path(name), *argv,
+               "--trace-format", fmt) == (code, out, err)
+
+
 def test_to_tm_then_to_class_is_identity(capsys, tmp_path, bank_path):
     code, class_json, _ = run(capsys, "to-class", bank_path)
     json_file = tmp_path / "bank.json"
