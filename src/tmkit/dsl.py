@@ -8,16 +8,16 @@ for every model m that `model.build_model` accepts, unless an expression
 in m reads a path no text writes (see `expr.to_text`): print_text raises
 ModelError for it.
 
-Cost. The whole file is lexed before parsing starts, in one C-level
-`findall` pass of `_PATH_LEXEME_RE` that skips blanks, line breaks and
-comments inside the regex and yields one string per lexeme; a path
-written without blanks, `A.b.c`, is one lexeme. Each distinct lexeme is
-then classified once into a shared `(type, value)` tuple, so no object
-is built per token, and the parser reads those tuples by index, inline
-in the loops that run once per member, edge, cover, path or operand.
-No line or column is tracked: a text that fails, or has a lexeme `not.x`,
-is lexed and parsed again one name a lexeme (`_NAME_LEXEME`), where a
-`ParseError` finds its token's position by lexing once more.
+Cost. A text is lexed once, whole, and parsed once. One C-level
+`findall` of `_PATH_LEXEME_RE` skips blanks, line breaks and comments
+inside the regex and yields one string per lexeme, and a path written
+without blanks, `A.b.c`, is one lexeme. Each distinct lexeme is then
+classified once into a shared `(type, value)` tuple, and the parser reads
+those tuples by index, inline in the loops that run once per member,
+edge, cover, path or operand. Where a check fails on a path, the parser
+splits it and checks again (`_Parser.split`), so errors are those of one
+name a token. No line or column is tracked: a `ParseError` finds its
+token's place in one more walk of the lexemes (`_position`).
 """
 
 from __future__ import annotations
@@ -40,28 +40,25 @@ _SKIP_RE = re.compile(_SKIP)
 
 #: The lexical grammar: one lexeme per match, with the blanks and
 #: comments after it; the empty match at the end of the text is EOF.
-#: Lexing starts after the blanks and comments that open the text (see
-#: `_lexeme_matches`). Names, punctuation, numbers and strings start
-#: with different characters, so their order only puts the common ones
-#: first; the catch-all error comes last, and longer punctuation comes
-#: first, so `-->` wins over `->` over `-`. `%s` takes a path's parts.
-_LEXEME = r"""(?x)
-    ( [^\W\d]\w*%s                              # name or path
+#: Lexing starts after the blanks and comments that open the text.
+#: Names and paths, punctuation, numbers and strings start with different
+#: characters, so their order only puts the common ones first; the
+#: catch-all error comes last, and `-->` wins over `->` over `-`.
+_PATH_LEXEME_RE = re.compile(r"""(?x)
+    ( [^\W\d]\w*(?:\.[^\W\d]\w*)*               # name or path
     | -->|->|:=|<=|>=|!=|[<>={};,.()+\-→]       # punctuation
     | \d+(?:\.\d*)?                             # number
     | "(?:[^"\\\n]|\\[\s\S])*"                  # string
     | [^ \t\r\n\#]                              # a lexical error
     )""" + _SKIP + r"""
   | \Z
-"""
-#: One lexeme per path written without blanks, `A.b.c`, too.
-_PATH_LEXEME_RE = re.compile(_LEXEME % r"(?:\.[^\W\d]\w*)*")
-#: One lexeme per name: the tokens that `_position` counts. Only a text
-#: that fails needs them, so `re.compile` compiles it on first use.
-_NAME_LEXEME = _LEXEME % ""
+""")
 
 #: Dotted lexemes with these heads read as a keyword or a literal first.
 _HEADS = ("not.", "true.", "false.")
+
+#: The `.` token of a split path, told from a `.` lexeme by identity.
+_SPLIT_DOT = (".", ".")
 
 #: kind -> its place in `KIND_ORDER`, where `print_text` puts it
 _KIND_RANK = {kind: i for i, kind in enumerate(md.KIND_ORDER)}
@@ -98,49 +95,51 @@ class ParseError(TmError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-def _lexeme_matches(text: str):
-    """The matches of `_NAME_LEXEME` over `text`, one per token."""
-    return re.compile(_NAME_LEXEME).finditer(text, _SKIP_RE.match(text).end())
-
-
 def _classify(lexeme: str) -> tuple:
-    """The `(type, value)` token of a lexeme, or `("ERROR", message)`.
-
-    A token's type is NAME, PATH (dotted names), NUMBER, STRING, EOF or
-    the punctuation itself. A dotted lexeme that is no path, because a
-    part is no name or its head is `not`, `true` or `false`, is an ERROR
-    with no message: `parse` lexes its text again one name a token.
+    """The `(type, value)` token of a lexeme: NAME, PATH (dotted names),
+    NUMBER, STRING, EOF or the punctuation itself. A path headed `not`,
+    `true` or `false` is SPLIT, with its tokens as value (see `_split`),
+    since one name a token reads its head as a keyword or a literal. A
+    lexeme that is no token is ERROR: (message, offset of its bad part).
     """
     first = lexeme[:1]
     # in ASCII, `[^\W\d]` is a letter or `_`, so each part is a name
-    if ((first.isalpha() or first == "_") and lexeme.isascii()
-            and not lexeme.startswith(_HEADS)):
-        return ("PATH" if "." in lexeme else "NAME", lexeme)
-    if not lexeme:
-        return ("EOF", None)
-    if lexeme in _PUNCT:
-        return (lexeme, lexeme)
-    if lexeme == "→":
-        return ("->", "->")
-    if first == '"':
-        if len(lexeme) == 1:  # no closing quote on this line
-            return ("ERROR", "unterminated string literal")
-        return ("STRING", _ESCAPE_RE.sub(r"\1", lexeme[1:-1]))
-    if first.isdecimal():  # what `\d` matches
-        try:
-            value = float(lexeme) if "." in lexeme else int(lexeme)
-            if ex.in_range(value):
-                return ("NUMBER", value)
-        except ValueError:  # not a number (`is_name("2go")`), or more
-            pass  # digits than int() reads (4300)
-        return ("ERROR", f"number too long: {len(lexeme)} digits")
-    # `\w` admits digits such as '²' that str.isalpha() rejects
-    parts = lexeme.split(".")  # `is_name` may pass an empty part
-    if (all(part[:1].isalpha() or part[:1] == "_" for part in parts)
-            and not lexeme.startswith(_HEADS)):
-        return ("PATH" if len(parts) > 1 else "NAME", lexeme)
-    return ("ERROR", f"unexpected character {first!r}" if len(parts) == 1
-            else None)
+    if not ((first.isalpha() or first == "_") and lexeme.isascii()):
+        if not lexeme:
+            return ("EOF", None)
+        if lexeme in _PUNCT:
+            return (lexeme, lexeme)
+        if lexeme == "→":
+            return ("->", "->")
+        if first == '"':
+            if len(lexeme) == 1:  # no closing quote on this line
+                return ("ERROR", ("unterminated string literal", 0))
+            return ("STRING", _ESCAPE_RE.sub(r"\1", lexeme[1:-1]))
+        if first.isdecimal():  # what `\d` matches
+            try:
+                value = float(lexeme) if "." in lexeme else int(lexeme)
+                if ex.in_range(value):
+                    return ("NUMBER", value)
+            except ValueError:  # not a number (`is_name("2go")`), or more
+                pass  # digits than int() reads (4300)
+            return ("ERROR", (f"number too long: {len(lexeme)} digits", 0))
+        # `\w` admits digits such as '²' that str.isalpha() rejects
+        at = 0
+        for part in lexeme.split("."):  # `is_name` may pass an empty part
+            if not (part[:1].isalpha() or part[:1] == "_"):
+                return ("ERROR", (f"unexpected character {part[:1]!r}", at))
+            at += len(part) + 1
+    if "." not in lexeme:
+        return ("NAME", lexeme)
+    return (("SPLIT", _split(lexeme)) if lexeme.startswith(_HEADS)
+            else ("PATH", lexeme))
+
+
+def _split(path: str) -> list[tuple]:
+    """The tokens of a path's head name, `.` and the rest of the path."""
+    head, rest = path.split(".", 1)
+    return [("NAME", head), _SPLIT_DOT, ("PATH" if "." in rest else "NAME",
+                                         rest)]
 
 
 def is_name(text: str) -> bool:
@@ -151,34 +150,40 @@ def is_name(text: str) -> bool:
             and _PATH_LEXEME_RE.match(text).group(1) == text)
 
 
-def _tokenize(src: SourceUnit, lexeme_re=_PATH_LEXEME_RE) -> list[tuple]:
-    """The `(type, value)` tokens of the whole text, ending in EOF; a path
-    without blanks is one PATH token with `_PATH_LEXEME_RE`, where an
-    ERROR raises `ParseError` at 0:0, placed only with `_NAME_LEXEME`."""
-    text = src.text
-    lexemes = lexeme_re.findall(text, _SKIP_RE.match(text).end())
+def _tokenize(text: str) -> list[tuple]:
+    """The `(type, value)` tokens of the whole text, ending in EOF: one
+    `findall` of `_PATH_LEXEME_RE`, one `_classify` per distinct lexeme,
+    and the tokens of each SPLIT lexeme in its place. The first lexical
+    error raises `ParseError` at its place."""
+    lexemes = _PATH_LEXEME_RE.findall(text, _SKIP_RE.match(text).end())
     kinds = {lexeme: _classify(lexeme) for lexeme in set(lexemes)}
-    errors = {lexeme for lexeme, (type_, _) in kinds.items()
-              if type_ == "ERROR"}
-    if errors and lexeme_re is _PATH_LEXEME_RE:  # `parse` lexes it again
-        raise ParseError(0, 0, "not lexed as paths")
-    if errors:
-        first = lexemes.index(next(filter(errors.__contains__, lexemes)))
-        raise ParseError(*_position(text, first), kinds[lexemes[first]][1])
-    return list(map(kinds.__getitem__, lexemes))
+    tokens = list(map(kinds.__getitem__, lexemes))
+    types = {type_ for type_, _ in kinds.values()}
+    if "ERROR" in types:
+        index = next(i for i, tok in enumerate(tokens) if tok[0] == "ERROR")
+        (message, at), (line, column) = (tokens[index][1],
+                                         _position(text, tokens, index))
+        raise ParseError(line, column + at, message)  # a lexeme is one line
+    if "SPLIT" in types:
+        tokens = [part for token in tokens
+                  for part in (token[1] if token[0] == "SPLIT" else (token,))]
+    return tokens
 
 
-def _position(text: str, index: int) -> tuple[int, int]:
-    """(line, column) of token `index` of `text`, found by lexing again.
-
-    A comment at the end of the text does not move the EOF position.
-    """
-    matches = _lexeme_matches(text)
-    lexeme_end = 0
-    for match in itertools.islice(matches, index):
-        lexeme_end = match.end(1)
+def _position(text: str, tokens: list[tuple], index: int) -> tuple[int, int]:
+    """(line, column) of `tokens[index]`, the tokens of `text`, in one walk
+    of its lexemes, where the parts of a split path are one lexeme. A
+    comment at the end of the text does not move the EOF position."""
+    first = index  # the first token of the lexeme that holds the token
+    while first and (tokens[first] is _SPLIT_DOT
+                     or tokens[first - 1] is _SPLIT_DOT):
+        first -= 1
+    lexeme = first - 2 * sum(token is _SPLIT_DOT for token in tokens[:first])
+    matches = _PATH_LEXEME_RE.finditer(text, _SKIP_RE.match(text).end())
+    lexeme_end = (next(itertools.islice(matches, lexeme - 1, None)).end(1)
+                  if lexeme else 0)
     match = next(matches)
-    offset = match.start()
+    offset = match.start() + sum(len(part) for _, part in tokens[first:index])
     if match.group(1) is None:  # EOF: at a comment on the last line, if any
         comment = text.find("#", max(lexeme_end, text.rfind("\n") + 1))
         if comment >= 0:
@@ -207,16 +212,30 @@ class _Parser:
     # -- token plumbing --
 
     def error(self, index: int, message: str, expected=()) -> ParseError:
-        """A `ParseError` at token `index`; at 0:0 if there is no text."""
-        if self.text is None:  # `parse` reads the text again to place it
-            return ParseError(0, 0, message, expected)
-        return ParseError(*_position(self.text, index), message, expected)
+        """A `ParseError` at token `index`."""
+        return ParseError(*_position(self.text, self.tokens, index), message,
+                          expected)
 
-    def unexpected(self, want: str) -> ParseError:
-        """The error for the next token, where `want` was expected."""
+    def split(self) -> bool:
+        """Split a PATH next token into its head, `.` and rest, and say if it
+        was one. A failed check calls it and checks again: the grammar reads
+        a `.` after a name only in a path, so it meets what one name a token
+        meets."""
+        type_, path = self.tokens[self.pos]
+        if type_ != "PATH":
+            return False
+        self.tokens[self.pos:self.pos + 1] = _split(path)
+        return True
+
+    def unexpected(self, want: str, expected=None) -> ParseError:
+        """The error for the next token, where the token `want`, or what
+        `want` names and `expected` lists, was expected."""
+        self.split()
         found = self.tokens[self.pos][1]
-        return self.error(self.pos, f"expected {want!r}, found {found!r}",
-                          expected=[want])
+        if expected is None:
+            want, expected = repr(want), [want]
+        return self.error(self.pos, f"expected {want}, found {found!r}",
+                          expected)
 
     def take(self, type_: str, value=None) -> bool:
         """Consume the next token if it matches and say whether it did."""
@@ -224,7 +243,7 @@ class _Parser:
         if tok[0] == type_ and (value is None or tok[1] == value):
             self.pos += 1
             return True
-        return False
+        return tok[0] == "PATH" and self.split() and self.take(type_, value)
 
     def expect(self, type_: str, value=None):
         """Consume the next token, which must match, and return its value."""
@@ -232,6 +251,8 @@ class _Parser:
         if tok[0] == type_ and (value is None or tok[1] == value):
             self.pos += 1
             return tok[1]
+        if self.split():
+            return self.expect(type_, value)
         raise self.unexpected(value if value is not None else type_)
 
     def enter(self):
@@ -263,15 +284,13 @@ class _Parser:
                 if behavior_edges is not None:
                     raise self.error(self.pos, "behavior block re-declared")
                 behavior_edges = self.parse_behavior()
-            elif word == "terminal":
-                terminals.extend(self.parse_event_list("terminal"))
-            elif word == "repeatable":
-                repeatable.extend(self.parse_event_list("repeatable"))
-            else:
-                raise self.error(
-                    self.pos, f"expected a declaration, found {token[1]!r}",
-                    expected=["thimac", "flow", "trigger", "event",
-                              "behavior", "terminal", "repeatable"])
+            elif word == "terminal" or word == "repeatable":
+                names = terminals if word == "terminal" else repeatable
+                names.extend(self.parse_event_list())
+            elif not self.split():  # a path: dispatch again on its head
+                raise self.unexpected("a declaration", [
+                    "thimac", "flow", "trigger", "event", "behavior",
+                    "terminal", "repeatable"])
         return (thimacs, actions, flows, triggers, event_decls,
                 behavior_edges, terminals, repeatable)
 
@@ -294,10 +313,10 @@ class _Parser:
                 subthimacs.append(self.parse_thimac(path, actions, depth + 1))
                 continue
             if word != "store" and word not in md.KIND_ORDER:
-                raise self.error(
-                    start, f"expected a thimac member, found {token[1]!r}",
-                    expected=["thimac", "store",
-                              *sorted(md.KIND_ORDER), "}"])
+                if self.split():
+                    continue
+                raise self.unexpected("a thimac member", [
+                    "thimac", "store", *sorted(md.KIND_ORDER), "}"])
             has_value = tokens[start + 1][0] == "="
             self.pos = start + 1 + has_value
             if word == "store":
@@ -372,8 +391,8 @@ class _Parser:
         self.expect("}")
         return edges
 
-    def parse_event_list(self, keyword) -> list[str]:
-        self.expect("NAME", keyword)
+    def parse_event_list(self) -> list[str]:
+        self.pos += 1  # `terminal` or `repeatable`, read by the caller
         names = [self.expect("NAME")]
         while self.take(","):
             names.append(self.expect("NAME"))
@@ -413,10 +432,8 @@ class _Parser:
     def parse_literal(self):
         value = self.take_literal()
         if value is None:
-            raise self.error(
-                self.pos,
-                f"expected a literal, found {self.tokens[self.pos][1]!r}",
-                expected=["NUMBER", "STRING", "true", "false"])
+            raise self.unexpected("a literal",
+                                  ["NUMBER", "STRING", "true", "false"])
         return value
 
     # -- expressions --
@@ -457,6 +474,8 @@ class _Parser:
         while (op := self.tokens[self.pos][0]) == "+" or op == "-":
             self.pos += 1
             rest.append((op, self.parse_primary()))
+        if op == "PATH":  # the next check meets its head: `and`, `or`, ...
+            self.split()
         return ex.chain(first, rest)
 
     def parse_primary(self) -> ex.Expr:
@@ -473,25 +492,15 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return inner
-        raise self.error(
-            self.pos,
-            f"expected an expression, found {self.tokens[self.pos][1]!r}",
-            expected=["NUMBER", "STRING", "NAME", "("])
+        raise self.unexpected("an expression",
+                              ["NUMBER", "STRING", "NAME", "("])
 
 
 def parse(src) -> tuple[md.StaticModel, list[EventRegion],
                         BehavioralModel | None]:
     """Parse DSL text into a model, declared events, and a chronology."""
-    if isinstance(src, str):
-        src = SourceUnit(src)
-    try:
-        return _parse(None, _tokenize(src))
-    except ParseError:  # again one name a token, to place the error
-        return _parse(src.text, _tokenize(src, re.compile(_NAME_LEXEME)))
-
-
-def _parse(text: str | None, tokens: list[tuple]):
-    parser = _Parser(text, tokens)
+    text = src.text if isinstance(src, SourceUnit) else src
+    parser = _Parser(text, _tokenize(text))
     try:
         (thimacs, actions, flows, triggers, event_decls, behavior_edges,
          terminals, repeatable) = parser.parse_file()
@@ -549,24 +558,18 @@ def _edge_lines(keyword, arrow, edges):
 
 
 def _thimac_lines(thimac: md.Thimac, path, owned, indent):
-    head = f"{indent}thimac {thimac.name}"
-    if thimac.specializes:
-        head += " specializes"
-    lines = [head + " {"]
     inner = indent + "    "
+    specializes = " specializes" if thimac.specializes else ""
+    lines = [f"{indent}thimac {thimac.name}{specializes} {{"]
     if thimac.store is not None:
-        if thimac.store.value is None:
-            lines.append(f"{inner}store;")
-        else:
-            lines.append(f"{inner}store = {ex._lit_text(thimac.store.value)};")
+        value = thimac.store.value
+        lines.append(f"{inner}store;" if value is None
+                     else f"{inner}store = {ex._lit_text(value)};")
     for action in sorted(owned.get(path, ()),
                          key=lambda a: _KIND_RANK[a.kind]):
-        if action.update is not None:
-            target, rule = action.update
-            lines.append(f"{inner}{action.kind} = {target} := "
-                         f"{ex.to_text(rule, ex.SUM)};")
-        else:
-            lines.append(f"{inner}{action.kind};")
+        rule = "" if action.update is None else (
+            f" = {action.update[0]} := {ex.to_text(action.update[1], ex.SUM)}")
+        lines.append(f"{inner}{action.kind}{rule};")
     for sub in thimac.subthimacs:
         lines.extend(_thimac_lines(sub, f"{path}.{sub.name}", owned, inner))
     lines.append(f"{indent}}}")
@@ -574,11 +577,9 @@ def _thimac_lines(thimac: md.Thimac, path, owned, indent):
 
 
 def _event_line(event: EventRegion) -> str:
-    covers = ", ".join(sorted(event.covers))
-    line = f"event {event.id}"
-    if event.label != event.id:
-        line += f" {ex._lit_text(event.label)}"
-    line += f" covers {{ {covers} }}"
+    label = "" if event.label == event.id else f" {ex._lit_text(event.label)}"
+    line = (f"event {event.id}{label} covers "
+            f"{{ {', '.join(sorted(event.covers))} }}")
     if event.input_path is not None:
         line += f" input {event.input_path}"
     return line + ";"
@@ -586,10 +587,8 @@ def _event_line(event: EventRegion) -> str:
 
 def _behavior_block(behavior: BehavioralModel) -> str:
     lines = ["behavior {"]
-    for edge in behavior.edges:
-        line = f"    {edge.src} -> {edge.dst}"
-        if edge.guard is not None:
-            line += f" guard {ex.to_text(edge.guard)}"
-        lines.append(line + ";")
+    for e in behavior.edges:
+        guard = "" if e.guard is None else f" guard {ex.to_text(e.guard)}"
+        lines.append(f"    {e.src} -> {e.dst}{guard};")
     lines.append("}")
     return "\n".join(lines)

@@ -22,8 +22,8 @@ import functools
 
 from . import expr as ex
 from ._record import record
-from .errors import (DuplicateEventId, EmptyCover, UnknownActionPath,
-                     UnknownEvent)
+from .errors import (DuplicateEventId, EmptyCover, ModelError,
+                     UnknownActionPath, UnknownEvent)
 from .model import FlowEdge, StaticModel, TriggerEdge, ValidationReport
 
 _NONE: frozenset[str] = frozenset()
@@ -94,6 +94,9 @@ class BehavioralModel:
 def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
              input_path: str | None = None) -> EventRegion:
     """Build a region from action paths; all paths must resolve."""
+    from .dsl import is_name  # `dsl` imports this module
+    if not is_name(event_id):
+        raise ModelError(f"event id {event_id!r} is not a .tm name")
     paths = list(cover_paths)
     if not paths:
         raise EmptyCover(f"event '{event_id}' covers no actions")

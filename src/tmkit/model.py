@@ -173,11 +173,14 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
 
     Stage legality is deliberately not checked here; see validate_static.
     """
+    from .dsl import is_name  # `dsl` imports this module
     thimacs = tuple(thimacs)
     # in preorder, the first repeated path is the first duplicate sibling
     paths = set()
     stores = {}
     for path, thimac in _walk(thimacs):
+        if not is_name(thimac.name):
+            raise ModelError(f"thimac name {thimac.name!r} is not a .tm name")
         if path in paths:
             raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
         paths.add(path)

@@ -266,7 +266,8 @@ def _mutated_fixture(draw):
     text = corpus.fixture_text(draw(st.sampled_from(corpus.FIXTURES)))
     # alternate blanks-and-comments pieces with token pieces
     pieces, end = [], 0
-    for match in dsl._lexeme_matches(text):
+    for match in dsl._PATH_LEXEME_RE.finditer(
+            text, dsl._SKIP_RE.match(text).end()):
         pieces += [text[end:match.start()], match.group(1) or ""]
         end = match.end(1)
     tokens = range(1, len(pieces) - 1, 2)  # all but EOF

@@ -176,9 +176,9 @@ def test_guard_expression_grammar():
 
 
 def _stream(text):
-    return [(type_, value, *dsl._position(text, i))
-            for i, (type_, value) in enumerate(
-                dsl._tokenize(dsl.SourceUnit(text)))]
+    tokens = dsl._tokenize(text)
+    return [(type_, value, *dsl._position(text, tokens, i))
+            for i, (type_, value) in enumerate(tokens)]
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -243,7 +243,7 @@ def test_tokenizer_table(text, expected):
 def test_is_name_is_the_lexers_name_rule(text, expected):
     assert dsl.is_name(text) is expected
     if expected:
-        assert dsl._tokenize(dsl.SourceUnit(text))[0] == ("NAME", text)
+        assert dsl._tokenize(text)[0] == ("NAME", text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,8 +255,7 @@ def test_is_name_is_the_lexers_name_rule(text, expected):
 @example("a.é.")
 def test_is_name_holds_exactly_for_a_text_lexed_as_one_name(text):
     try:
-        one_name = dsl._tokenize(dsl.SourceUnit(text)) == [("NAME", text),
-                                                          ("EOF", None)]
+        one_name = dsl._tokenize(text) == [("NAME", text), ("EOF", None)]
     except dsl.ParseError:
         one_name = False
     assert dsl.is_name(text) is one_name
@@ -276,6 +275,32 @@ def test_tokenizer_error_positions(text, line, col, message):
         dsl.parse(text)  # lexed whole before any parsing
     assert (exc.value.line, exc.value.column, exc.value.message) == \
         (line, col, message)
+
+
+_EVENT = "thimac A { store = 1; create; } event E covers"
+#: A path that a parser check meets, at each check site, and the error of
+#: the one-name-a-token reference
+_SPLIT_AT_A_CHECK = [
+    ("thimac.x A { }", 1, 7, "expected 'NAME', found '.'"),
+    ("thimac A specializes.x { }", 1, 21, "expected '{', found '.'"),
+    ("thimac A { store.x; }", 1, 17, "expected ';', found '.'"),
+    ("thimac A { create.x; }", 1, 18, "expected ';', found '.'"),
+    ("thimac A { store = x.y; }", 1, 20, "expected a literal, found 'x'"),
+    (f"{_EVENT}.x {{ A.create }};", 1, 47, "expected '{', found '.'"),
+    (f"{_EVENT} {{ A.create }} input.x;", 1, 66,
+     "expected 'NAME', found '.'"),
+    (f"{_EVENT} {{ A.create }} guard.x;", 1, 66,
+     "expected an expression, found '.'"),
+    (f"{_EVENT} {{ A.create }} guard A = 1 and.x;", 1, 76,
+     "expected an expression, found '.'"),
+    (f"{_EVENT} {{ A.create }} guard A = 1 or.B;", 1, 75,
+     "expected an expression, found '.'"),
+    (f"{_EVENT} {{ A.create }} guard A B.c;", 1, 69,
+     "expected ';', found 'B'"),
+    ("terminal A.b;", 1, 11, "expected ';', found '.'"),
+    ("repeatable A, B.c;", 1, 16, "expected ';', found '.'"),
+    ("behavior { A -> B.c; }", 1, 18, "expected ';', found '.'"),
+]
 
 
 @pytest.mark.parametrize("text, line, col, message", [
@@ -309,6 +334,8 @@ def test_tokenizer_error_positions(text, line, col, message):
     ("flow A..b -> B;", 1, 8, "expected 'NAME', found '.'"),
     ("flow A.1 -> B;", 1, 8, "expected 'NAME', found 1"),
     ("thimac A { store = 1.5.x; }", 1, 23, "expected ';', found '.'"),
+    # a path split where one name, a keyword or a literal is expected
+    *_SPLIT_AT_A_CHECK,
 ])
 def test_parse_error_positions(text, line, col, message):
     with pytest.raises(dsl.ParseError) as exc:
@@ -380,6 +407,15 @@ _CONTEXTS = st.sampled_from([
 ])
 
 
+def _each_example(texts):
+    """`@example(text)` for each of `texts`."""
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return apply
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_mutated_fixtures(),
                  st.builds(operator.mod, _CONTEXTS, _SOUP)))
@@ -387,9 +423,32 @@ _CONTEXTS = st.sampled_from([
 @example("thimac A { store = 0; process = A := false.b; }")
 @example("thimac A { store = 0; create; } event E covers { A.create };\n"
          "behavior { E -> E guard not.b = 1; }")
+@_each_example([text for text, *_ in _SPLIT_AT_A_CHECK])
 def test_parse_agrees_with_the_one_name_a_token_reference(text):
     assert _outcome(dsl.parse, text) == \
         _outcome(dsl_reference.parse, text)
+
+
+@pytest.mark.parametrize("tail, error", [
+    ("thimac {", "197:8: expected 'NAME', found '{'"),
+    ("thimac A.b { }", "197:9: expected '{', found '.'"),
+])
+def test_a_failing_text_is_lexed_and_parsed_once(monkeypatch, tail, error):
+    calls = []
+
+    def counted(function):
+        def call(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(dsl, "_tokenize", counted(dsl._tokenize))
+    monkeypatch.setattr(dsl._Parser, "parse_file",
+                        counted(dsl._Parser.parse_file))
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(corpus.fixture_text("bank") + tail)
+    assert str(exc.value) == error
+    assert calls == ["_tokenize", "parse_file"]
 
 
 def test_the_first_lexical_error_is_found_in_linear_time():

@@ -34,6 +34,13 @@ def test_eventize_maximal_region(beef):
     assert len(triggers) == len(static.triggers)
 
 
+def test_eventize_refuses_an_id_that_is_no_tm_name(beef):
+    static, _, _ = beef
+    with pytest.raises(errors.ModelError) as exc:
+        eventize(static, "E 1", "E 1", {"Cook.Sirloin.receive"})
+    assert str(exc.value) == "event id 'E 1' is not a .tm name"
+
+
 def test_eventize_unknown_path(beef):
     static, _, _ = beef
     with pytest.raises(errors.UnknownActionPath):

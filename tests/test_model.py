@@ -22,6 +22,21 @@ def _simple(actions_by_thimac, flows=(), triggers=()):
                        [TriggerEdge(*e) for e in triggers])
 
 
+def test_a_thimac_name_that_is_no_tm_name_is_refused():
+    with pytest.raises(errors.ModelError, match="thimac name 'A B' is not"):
+        build_model([Thimac("A B"), Thimac("A")],
+                    [Action("A B", "create"), Action("A", "create")],
+                    [FlowEdge("A B.create", "A.create")], [])
+
+
+@pytest.mark.parametrize("name", ["A B", "A.b", "9x", ""])
+def test_thimac_names_are_checked_at_every_depth(name):
+    for thimacs in ([Thimac(name)], [Thimac("A", subthimacs=(Thimac(name),))]):
+        with pytest.raises(errors.ModelError) as exc:
+            build_model(thimacs, [], [], [])
+        assert str(exc.value) == f"thimac name {name!r} is not a .tm name"
+
+
 def test_empty_model():
     static = build_model([], [], [], [])
     assert static.thimacs == ()
