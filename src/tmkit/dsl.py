@@ -161,8 +161,8 @@ def _tokenize(text: str) -> list[tuple]:
     types = {type_ for type_, _ in kinds.values()}
     if "ERROR" in types:
         index = next(i for i, tok in enumerate(tokens) if tok[0] == "ERROR")
-        (message, at), (line, column) = (tokens[index][1],
-                                         _position(text, tokens, index))
+        message, at = tokens[index][1]
+        line, column = _position(text, tokens, index)
         raise ParseError(line, column + at, message)  # a lexeme is one line
     if "SPLIT" in types:
         tokens = [part for token in tokens
