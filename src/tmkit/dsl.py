@@ -120,12 +120,12 @@ def _classify(lexeme: str) -> tuple:
                 value = float(lexeme) if "." in lexeme else int(lexeme)
                 if ex.in_range(value):
                     return ("NUMBER", value)
-            except ValueError:  # not a number (`is_name("2go")`), or more
-                pass  # digits than int() reads (4300)
+            except ValueError:  # more digits than int() reads (4300)
+                pass
             return ("ERROR", (f"number too long: {len(lexeme)} digits", 0))
         # `\w` admits digits such as '²' that str.isalpha() rejects
         at = 0
-        for part in lexeme.split("."):  # `is_name` may pass an empty part
+        for part in lexeme.split("."):
             if not (part[:1].isalpha() or part[:1] == "_"):
                 return ("ERROR", (f"unexpected character {part[:1]!r}", at))
             at += len(part) + 1
@@ -140,14 +140,6 @@ def _split(path: str) -> list[tuple]:
     head, rest = path.split(".", 1)
     return [("NAME", head), _SPLIT_DOT, ("PATH" if "." in rest else "NAME",
                                          rest)]
-
-
-def is_name(text: str) -> bool:
-    """Whether `text` is one name token: a thimac, event or path part."""
-    if text.isascii():  # in ASCII, a name `[^\W\d]\w*` is an identifier
-        return text.isidentifier()
-    return (_classify(text)[0] == "NAME"
-            and _PATH_LEXEME_RE.match(text).group(1) == text)
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -284,9 +276,10 @@ class _Parser:
                 if behavior_edges is not None:
                     raise self.error(self.pos, "behavior block re-declared")
                 behavior_edges = self.parse_behavior()
-            elif word == "terminal" or word == "repeatable":
-                names = terminals if word == "terminal" else repeatable
-                names.extend(self.parse_event_list())
+            elif word == "terminal":
+                terminals.extend(self.parse_event_list("terminal"))
+            elif word == "repeatable":
+                repeatable.extend(self.parse_event_list("repeatable"))
             elif not self.split():  # a path: dispatch again on its head
                 raise self.unexpected("a declaration", [
                     "thimac", "flow", "trigger", "event", "behavior",
@@ -391,8 +384,8 @@ class _Parser:
         self.expect("}")
         return edges
 
-    def parse_event_list(self) -> list[str]:
-        self.pos += 1  # `terminal` or `repeatable`, read by the caller
+    def parse_event_list(self, keyword) -> list[str]:
+        self.expect("NAME", keyword)
         names = [self.expect("NAME")]
         while self.take(","):
             names.append(self.expect("NAME"))
@@ -558,18 +551,24 @@ def _edge_lines(keyword, arrow, edges):
 
 
 def _thimac_lines(thimac: md.Thimac, path, owned, indent):
+    head = f"{indent}thimac {thimac.name}"
+    if thimac.specializes:
+        head += " specializes"
+    lines = [head + " {"]
     inner = indent + "    "
-    specializes = " specializes" if thimac.specializes else ""
-    lines = [f"{indent}thimac {thimac.name}{specializes} {{"]
     if thimac.store is not None:
-        value = thimac.store.value
-        lines.append(f"{inner}store;" if value is None
-                     else f"{inner}store = {ex._lit_text(value)};")
+        if thimac.store.value is None:
+            lines.append(f"{inner}store;")
+        else:
+            lines.append(f"{inner}store = {ex._lit_text(thimac.store.value)};")
     for action in sorted(owned.get(path, ()),
                          key=lambda a: _KIND_RANK[a.kind]):
-        rule = "" if action.update is None else (
-            f" = {action.update[0]} := {ex.to_text(action.update[1], ex.SUM)}")
-        lines.append(f"{inner}{action.kind}{rule};")
+        if action.update is not None:
+            target, rule = action.update
+            lines.append(f"{inner}{action.kind} = {target} := "
+                         f"{ex.to_text(rule, ex.SUM)};")
+        else:
+            lines.append(f"{inner}{action.kind};")
     for sub in thimac.subthimacs:
         lines.extend(_thimac_lines(sub, f"{path}.{sub.name}", owned, inner))
     lines.append(f"{indent}}}")
@@ -577,9 +576,11 @@ def _thimac_lines(thimac: md.Thimac, path, owned, indent):
 
 
 def _event_line(event: EventRegion) -> str:
-    label = "" if event.label == event.id else f" {ex._lit_text(event.label)}"
-    line = (f"event {event.id}{label} covers "
-            f"{{ {', '.join(sorted(event.covers))} }}")
+    covers = ", ".join(sorted(event.covers))
+    line = f"event {event.id}"
+    if event.label != event.id:
+        line += f" {ex._lit_text(event.label)}"
+    line += f" covers {{ {covers} }}"
     if event.input_path is not None:
         line += f" input {event.input_path}"
     return line + ";"
@@ -587,8 +588,10 @@ def _event_line(event: EventRegion) -> str:
 
 def _behavior_block(behavior: BehavioralModel) -> str:
     lines = ["behavior {"]
-    for e in behavior.edges:
-        guard = "" if e.guard is None else f" guard {ex.to_text(e.guard)}"
-        lines.append(f"    {e.src} -> {e.dst}{guard};")
+    for edge in behavior.edges:
+        line = f"    {edge.src} -> {edge.dst}"
+        if edge.guard is not None:
+            line += f" guard {ex.to_text(edge.guard)}"
+        lines.append(line + ";")
     lines.append("}")
     return "\n".join(lines)

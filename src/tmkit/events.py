@@ -24,7 +24,8 @@ from . import expr as ex
 from ._record import record
 from .errors import (DuplicateEventId, EmptyCover, ModelError,
                      UnknownActionPath, UnknownEvent)
-from .model import FlowEdge, StaticModel, TriggerEdge, ValidationReport
+from .model import (FlowEdge, StaticModel, TriggerEdge, ValidationReport,
+                    is_name)
 
 _NONE: frozenset[str] = frozenset()
 
@@ -94,12 +95,8 @@ class BehavioralModel:
 def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
              input_path: str | None = None) -> EventRegion:
     """Build a region from action paths; all paths must resolve."""
-    # an ASCII identifier is a name (`dsl.is_name`), so only another id
-    # pays for the import, which is here because `dsl` imports this module
-    if not (event_id.isascii() and event_id.isidentifier()):
-        from .dsl import is_name
-        if not is_name(event_id):
-            raise ModelError(f"event id {event_id!r} is not a .tm name")
+    if not is_name(event_id):
+        raise ModelError(f"event id {event_id!r} is not a .tm name")
     paths = list(cover_paths)
     if not paths:
         raise EmptyCover(f"event '{event_id}' covers no actions")

@@ -9,6 +9,7 @@ without moving a thing.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Iterator
 
 from . import expr as ex
@@ -38,6 +39,9 @@ LEGAL_INTRA = {
 LEGAL_INTER = {("transfer", "transfer")}
 
 VALUE_TYPES = ("number", "text", "boolean", "reference")
+
+#: A thimac, event or path-part name, which `dsl` lexes as one NAME token
+_NAME_RE = re.compile(r"[^\W\d]\w*")
 
 
 @record
@@ -73,6 +77,15 @@ class Action:
 
 def action_id(owner: str, kind: str) -> str:
     return f"{owner}.{kind}"
+
+
+def is_name(text: str) -> bool:
+    """Whether `text` is one name token: a thimac, event or path part."""
+    if text.isascii():  # in ASCII, a name `[^\W\d]\w*` is an identifier
+        return text.isidentifier()
+    # `[^\W\d]` admits digits such as '²' that str.isalpha() rejects
+    return ((text[:1].isalpha() or text[:1] == "_")
+            and _NAME_RE.fullmatch(text) is not None)
 
 
 @record
@@ -173,7 +186,6 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
 
     Stage legality is deliberately not checked here; see validate_static.
     """
-    from .dsl import is_name  # `dsl` imports this module
     thimacs = tuple(thimacs)
     # in preorder, the first repeated path is the first duplicate sibling
     paths = set()

@@ -292,7 +292,7 @@ def _objects(raw, key, fields, where):
 
 def _read_name(raw, where):
     name = raw.get("name")
-    if not (isinstance(name, str) and dsl.is_name(name)):
+    if not (isinstance(name, str) and md.is_name(name)):
         if "name" not in raw:
             raise _error(where, "name", "missing")
         if not (isinstance(name, str) and name):

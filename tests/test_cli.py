@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dsl_reference
 import tmkit
 from tmkit import cli, corpus, dsl
 from tmkit.model import VALUE_TYPES
@@ -266,8 +267,7 @@ def _mutated_fixture(draw):
     text = corpus.fixture_text(draw(st.sampled_from(corpus.FIXTURES)))
     # alternate blanks-and-comments pieces with token pieces
     pieces, end = [], 0
-    for match in dsl._PATH_LEXEME_RE.finditer(
-            text, dsl._SKIP_RE.match(text).end()):
+    for match in dsl_reference._lexeme_matches(text):
         pieces += [text[end:match.start()], match.group(1) or ""]
         end = match.end(1)
     tokens = range(1, len(pieces) - 1, 2)  # all but EOF

@@ -10,7 +10,7 @@ import dsl_reference
 from tmkit import corpus, dsl, expr
 from tmkit.errors import TmError
 from tmkit.expr import Binary, Chain, Lit, PathRef, Unary, to_text
-from tmkit.model import canonicalize
+from tmkit.model import canonicalize, is_name
 
 STACK_SRC = ("thimac Stack { store; transfer; receive; create; } "
              "flow Stack.transfer -> Stack.receive; "
@@ -241,7 +241,7 @@ def test_tokenizer_table(text, expected):
     ("1.5x", False), ("9" * 400, False),
 ])
 def test_is_name_is_the_lexers_name_rule(text, expected):
-    assert dsl.is_name(text) is expected
+    assert is_name(text) is expected
     if expected:
         assert dsl._tokenize(text)[0] == ("NAME", text)
 
@@ -258,7 +258,7 @@ def test_is_name_holds_exactly_for_a_text_lexed_as_one_name(text):
         one_name = dsl._tokenize(text) == [("NAME", text), ("EOF", None)]
     except dsl.ParseError:
         one_name = False
-    assert dsl.is_name(text) is one_name
+    assert is_name(text) is one_name
 
 
 @pytest.mark.parametrize("text, line, col, message", [
