@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from . import dsl
 from .errors import TmError, UmlError
 from .model import validate_static
-from .events import check_behavior
+from .events import build_behavior, check_behavior
 
 OK, SEMANTIC, USAGE, INTERNAL = 0, 1, 2, 3
 _HELP = ("-h", "--help")
@@ -210,9 +210,8 @@ def _parse_value(flag: str, key: str, raw: str):
 def cmd_check(args) -> int:
     static, events, behavior = _parse(args.file)
     report = validate_static(static)
-    if behavior is not None:
-        report.diagnostics.extend(
-            check_behavior(behavior, static).diagnostics)
+    report.diagnostics.extend(check_behavior(
+        behavior or build_behavior(events, ()), static).diagnostics)
     for diag in report.diagnostics:
         print(f"{diag.severity}\t{diag.location}\t{diag.message}")
     return OK if report.ok else SEMANTIC

@@ -31,6 +31,7 @@ from ._record import record
 from .errors import TmError
 from .events import (BehavioralModel, BehaviorEdge, EventRegion,
                      build_behavior, eventize)
+from .model import MAX_THIMAC_DEPTH
 
 _BOOLEANS = {"true": True, "false": False}
 
@@ -68,11 +69,6 @@ _COMPARISONS = frozenset(["<=", ">=", "!=", "<", ">", "="])
 _PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
 
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
-
-#: How deep thimacs may nest. Every command recurses once per level, and
-#: each handles a file this deep in a fresh interpreter; one level deeper
-#: is the parse error `nesting too deep`.
-MAX_THIMAC_DEPTH = 981
 
 #: How deep `(` and `not` may nest in a guard or an update rule, each
 #: counting one level. Every command and every `expr` function handles an
@@ -491,7 +487,8 @@ class _Parser:
 
 def parse(src) -> tuple[md.StaticModel, list[EventRegion],
                         BehavioralModel | None]:
-    """Parse DSL text into a model, declared events, and a chronology."""
+    """Parse DSL text into a model, declared events, and a chronology,
+    None if the text declares none; the events are checked either way."""
     text = src.text if isinstance(src, SourceUnit) else src
     parser = _Parser(text, _tokenize(text))
     try:
@@ -503,16 +500,14 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
 
     events = [eventize(static, d.id, d.label, d.covers, d.input_path)
               for d in event_decls]
-    behavior = None
     # an event guard is moved onto its incoming behavior edges that have
     # no guard of their own; with no such edge it would be dropped
-    if behavior_edges is not None or terminals or repeatable:
-        guards = {d.id: d.guard for d in event_decls}
-        edges = [e if e.guard is not None or guards.get(e.dst) is None
-                 else BehaviorEdge(e.src, e.dst, guards[e.dst])
-                 for e in behavior_edges or ()]
-        behavior = build_behavior(events, edges, terminals, repeatable)
-    incoming = behavior.incoming if behavior is not None else {}
+    guards = {d.id: d.guard for d in event_decls}
+    behavior = build_behavior(events, [
+        e if e.guard is not None or guards.get(e.dst) is None
+        else BehaviorEdge(e.src, e.dst, guards[e.dst])
+        for e in behavior_edges or ()], terminals, repeatable)
+    incoming = behavior.incoming
     for d in event_decls:
         if d.guard is None or any(e.guard is d.guard
                                   for e in incoming.get(d.id, ())):
@@ -521,7 +516,8 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
                if d.id in incoming else "it has no incoming behavior edge")
         raise parser.error(d.guard_at,
                            f"guard on event '{d.id}' is unused: {why}")
-    return static, events, behavior
+    declared = behavior_edges is not None or terminals or repeatable
+    return static, events, (behavior if declared else None)
 
 
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:

@@ -40,6 +40,11 @@ LEGAL_INTER = {("transfer", "transfer")}
 
 VALUE_TYPES = ("number", "text", "boolean", "reference")
 
+#: How deep thimacs may nest. Every command recurses once per level, and
+#: each handles a file this deep in a fresh interpreter; one level deeper
+#: is the parse error `nesting too deep`.
+MAX_THIMAC_DEPTH = 981
+
 #: A thimac, event or path-part name, which `dsl` lexes as one NAME token
 _NAME_RE = re.compile(r"[^\W\d]\w*")
 

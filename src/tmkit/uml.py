@@ -17,7 +17,7 @@ or lead into one. Both are linear in the number of classes.
 
 Size. A class d deep in the hierarchy is a thimac d deep, and its
 attributes and methods are d + 1 deep. `class_to_tm` rejects a
-hierarchy whose scaffold would nest deeper than `dsl.MAX_THIMAC_DEPTH`
+hierarchy whose scaffold would nest deeper than `model.MAX_THIMAC_DEPTH`
 (981), so that `tm check` reads every scaffold: at most 981 classes
 deep, 980 if the deepest has an attribute or a method. A scaffold names
 each flow's ends by full path, so its text is O(classes × depth of the
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 
-from . import dsl
 from . import model as md
 from ._json import json_list, scalar
 from ._record import record
@@ -142,7 +141,7 @@ def _is_action_only(thimac: md.Thimac, path: str, owned) -> bool:
 def class_to_tm(cm: ClassModel) -> md.StaticModel:
     """Expand a class model into the stored-attribute TM scaffold; reject
     a duplicate class name, an unknown parent, a scaffold nested deeper
-    than `dsl.MAX_THIMAC_DEPTH` or a cycle, in that order."""
+    than `model.MAX_THIMAC_DEPTH` or a cycle, in that order."""
     names = {cls.name for cls in cm.classes}
     if len(names) != len(cm.classes):
         raise SchemaError("/classes: duplicate class name")
@@ -158,7 +157,7 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
     stack = [(cls, 1) for cls in children.get(None, [])]
     while stack:
         cls, depth = stack.pop()
-        if depth + bool(cls.attributes or cls.methods) > dsl.MAX_THIMAC_DEPTH:
+        if depth + bool(cls.attributes or cls.methods) > md.MAX_THIMAC_DEPTH:
             raise UmlError("class hierarchy too deep")
         reached.add(cls.name)
         stack += [(sub, depth + 1) for sub in children.get(cls.name, [])]

@@ -9,6 +9,7 @@ import itertools
 import random
 import re
 import time
+from pathlib import Path
 
 from tmkit import corpus, dsl, sim, uml
 from tmkit.dot import emit_dot
@@ -61,11 +62,10 @@ def test_acceptance_2_bank_fixture(parsed_corpus):
 
 
 def test_acceptance_3_bank_class_model(parsed_corpus):
-    from importlib import resources
     static, _, _ = parsed_corpus["bank"]
     produced = uml.write_class_json(uml.tm_to_class(static))
-    golden = (resources.files("tmkit") / "fixtures"
-              / "bank_classes.json").read_text()
+    golden = (Path(__file__).parent / "golden"
+              / "bank_classes.json").read_text(encoding="utf-8")
     assert produced == golden
     cm = uml.read_class_json(golden)
     assert [c.name for c in cm.classes] == [

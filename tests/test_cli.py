@@ -19,6 +19,8 @@ import tmkit
 from tmkit import cli, corpus, dsl
 from tmkit.model import VALUE_TYPES
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -84,6 +86,82 @@ def test_check_rejects_an_update_rule_path_with_no_store(
     assert (code, out, err) == (1, f"ERROR\tA.process\t{message}\n", "")
 
 
+@pytest.mark.parametrize("command", ["check", "fmt", "dot", "to-class"])
+def test_a_duplicate_event_id_is_an_error_without_a_chronology(
+        capsys, tmp_path, command):
+    path = tmp_path / "twice.tm"
+    path.write_text("thimac A { create; }\n"
+                    "event E covers { A.create };\n"
+                    "event E covers { A.create };\n")
+    assert run(capsys, command, str(path)) == (
+        1, "", "error: duplicate event id 'E'\n")
+
+
+def test_check_reports_an_event_of_a_file_without_a_chronology(
+        capsys, tmp_path):
+    path = tmp_path / "input.tm"
+    path.write_text("thimac A { create; release; }\n"
+                    "thimac B { create; }\n"
+                    "flow A.create -> A.release;\n"
+                    "event E covers { A.create, B.create } input Z;\n")
+    assert run(capsys, "check", str(path)) == (
+        1, "WARNING\tB.create\taction participates in no flow or trigger\n"
+        "ERROR\tE\tinput path 'Z' has no store\n"
+        "WARNING\tE\tcovered subgraph is disconnected\n", "")
+
+
+def _without_chronology(name):
+    """A fixture's text before its `behavior` block, which its `terminal`
+    and `repeatable` declarations follow."""
+    text = corpus.fixture_text(name)
+    return text[:text.index("\nbehavior {") + 1]
+
+
+@st.composite
+def _mutated_events(draw):
+    """bank, beef or human without its chronology, with one to three event
+    declarations duplicated, cut by a cover or given an input path that
+    has no store."""
+    text = _without_chronology(
+        draw(st.sampled_from(["bank", "beef", "human"])))
+    for _ in range(draw(st.integers(1, 3))):
+        decl = draw(st.sampled_from(re.findall(r"(?ms)^event .*?;$", text)))
+        head, _, rest = decl.partition(" covers {")
+        covers, _, tail = rest.partition("}")
+        how = draw(st.sampled_from(["duplicate", "drop", "input"]))
+        if how == "duplicate":
+            new = f"{decl}\n{decl}"
+        elif how == "drop":
+            paths = covers.split(",")
+            del paths[draw(st.integers(0, len(paths) - 1))]
+            new = f"{head} covers {{{','.join(paths)}}}{tail}"
+        else:
+            new = f"{head} covers {{{covers}}} input Z;"
+        text = text.replace(decl, new, 1)
+    return text
+
+
+def _check(path):
+    """(exit code, stdout, stderr) of `tm check path`."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_mutated_events())
+def test_a_file_without_a_chronology_is_checked_as_with_an_empty_one(
+        tmp_path_factory, text):
+    alone = tmp_path_factory.getbasetemp() / "alone.tm"
+    alone.write_text(text)
+    outcome = _check(alone)
+    if outcome[0] != 2:
+        empty = tmp_path_factory.getbasetemp() / "empty.tm"
+        empty.write_text(text + "\nbehavior { }\n")
+        assert _check(empty) == outcome
+
+
 # -- the garbage collector --
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -145,15 +223,6 @@ def test_fmt_idempotent(capsys, tmp_path, name):
     code, twice, err = run(capsys, "fmt", str(again))
     assert code == 0
     assert once == twice
-
-
-def test_fmt_beef_matches_golden(capsys, beef_path):
-    from importlib import resources
-    code, out, err = run(capsys, "fmt", beef_path)
-    golden = (resources.files("tmkit") / "fixtures"
-              / "beef.tm.golden").read_text()
-    assert code == 0
-    assert out == golden
 
 
 def test_fmt_garbage(capsys, tmp_path):
@@ -324,9 +393,7 @@ _JSON_VALUES = st.one_of(
 def _mutated_class_json(draw):
     """The bank class JSON with one to three of its fields deleted or
     values replaced."""
-    from importlib import resources
-    payload = json.loads((resources.files("tmkit") / "fixtures"
-                          / "bank_classes.json").read_text())
+    payload = json.loads((GOLDEN / "bank_classes.json").read_text())
     for _ in range(draw(st.integers(1, 3))):
         slots, stack = [], [payload]
         while stack:
@@ -422,19 +489,7 @@ def test_check_non_utf8_file_is_a_usage_error(capsys, tmp_path):
 
 # -- to-class / to-tm --
 
-def test_to_class_bank_matches_golden(capsys, bank_path):
-    from importlib import resources
-    code, out, err = run(capsys, "to-class", bank_path)
-    golden = (resources.files("tmkit") / "fixtures"
-              / "bank_classes.json").read_text()
-    assert code == 0
-    assert out == golden
-
-
-GOLDEN = Path(__file__).parent / "golden"
-
-
-@pytest.mark.parametrize("name", ["beef", "human", "person", "stack"])
+@pytest.mark.parametrize("name", corpus.FIXTURES)
 def test_to_class_matches_golden(capsys, monkeypatch, name):
     # without handlers of its own, logging warns through its last resort,
     # which writes to sys.stderr, as in a `tm` process
@@ -461,19 +516,17 @@ _PINNED_STATUS = json.loads(
 @pytest.mark.parametrize("slug", _PINNED_COMMANDS)
 @pytest.mark.parametrize("name", corpus.FIXTURES)
 def test_command_output_matches_golden(capsys, name, slug):
-    path = corpus.fixture_path(name)
-    stdout = Path(path + ".golden") if (name, slug) == ("beef", "fmt") \
-        else GOLDEN / f"{name}_{slug}.stdout"
-    code, out, err = run(capsys, *_PINNED_COMMANDS[slug], path)
+    code, out, err = run(capsys, *_PINNED_COMMANDS[slug],
+                         corpus.fixture_path(name))
     assert [code, err] == _PINNED_STATUS[f"{name} {slug}"]
-    assert out == stdout.read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{name}_{slug}.stdout").read_text(
+        encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", corpus.FIXTURES)
 def test_to_tm_matches_golden(capsys, name):
     # the class JSON of each fixture, as `to-class` writes it
-    source = (Path(corpus.fixture_path("bank")).with_name("bank_classes.json")
-              if name == "bank" else GOLDEN / f"{name}_classes.json")
+    source = GOLDEN / f"{name}_classes.json"
     assert run(capsys, "to-tm", str(source)) == (
         0, (GOLDEN / f"{name}_to_tm.stdout").read_text(encoding="utf-8"), "")
 
@@ -1164,3 +1217,18 @@ def test_importing_the_cli_loads_only_what_check_runs():
     assert loaded.isdisjoint({"tmkit.sim", "tmkit.uml", "tmkit.dot",
                               "dataclasses", "inspect", "logging", "json",
                               "typing", "argparse", "gettext", "locale"})
+
+
+def test_importing_uml_loads_neither_the_parser_nor_the_events():
+    code = ("import sys; import tmkit.uml; "
+            "print(*sorted(name for name in sys.modules if 'tmkit' in name))")
+    loaded = set(_python("-c", code).stdout.split())
+    assert "tmkit.uml" in loaded
+    assert loaded.isdisjoint({"tmkit.dsl", "tmkit.events"})
+
+
+def test_the_package_ships_only_the_corpus():
+    from importlib import resources
+    fixtures = resources.files("tmkit") / "fixtures"
+    assert sorted(ref.name for ref in fixtures.iterdir()) == sorted(
+        f"{name}.tm" for name in corpus.FIXTURES)

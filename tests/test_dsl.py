@@ -105,6 +105,13 @@ def test_unknown_cover_path():
         dsl.parse("thimac A { create; } event E covers { A.process };")
 
 
+def test_duplicate_event_id_is_rejected_without_a_chronology():
+    from tmkit.errors import DuplicateEventId
+    with pytest.raises(DuplicateEventId):
+        dsl.parse("thimac A { create; } event E covers { A.create };"
+                  " event E covers { A.create };")
+
+
 def test_process_update_rule_parses():
     static, _, _ = dsl.parse(
         "thimac A { store = 0; process = A := A + 1; }")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,8 +375,7 @@ def test_json_reports_the_first_fault_met_item_by_item(payload, message):
 
 
 def test_json_golden_fixture_parses_to_bank_model(bank):
-    from importlib import resources
     static, _, _ = bank
-    text = (resources.files("tmkit") / "fixtures"
-            / "bank_classes.json").read_text()
+    text = (Path(__file__).parent / "golden"
+            / "bank_classes.json").read_text(encoding="utf-8")
     assert read_class_json(text) == tm_to_class(static)
