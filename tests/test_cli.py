@@ -225,6 +225,12 @@ def test_fmt_idempotent(capsys, tmp_path, name):
     assert once == twice
 
 
+def test_fmt_beef_matches_golden(capsys, beef_path):
+    code, out, err = run(capsys, "fmt", beef_path)
+    assert code == 0
+    assert out == (GOLDEN / "beef_fmt.stdout").read_text(encoding="utf-8")
+
+
 def test_fmt_garbage(capsys, tmp_path):
     bad = tmp_path / "garbage.tm"
     bad.write_text("%%%%")
