@@ -307,6 +307,20 @@ _SPLIT_AT_A_CHECK = [
     ("terminal A.b;", 1, 11, "expected ';', found '.'"),
     ("repeatable A, B.c;", 1, 16, "expected ';', found '.'"),
     ("behavior { A -> B.c; }", 1, 18, "expected ';', found '.'"),
+    # a path headed by each keyword the parser compares a name with
+    ("flow.x A -> B;", 1, 5, "expected 'NAME', found '.'"),
+    ("trigger.x A --> B;", 1, 8, "expected 'NAME', found '.'"),
+    ("event.x E covers { A.create };", 1, 6, "expected 'NAME', found '.'"),
+    ("behavior.x { }", 1, 9, "expected '{', found '.'"),
+    ("terminal.x E;", 1, 9, "expected 'NAME', found '.'"),
+    ("repeatable.x E;", 1, 11, "expected 'NAME', found '.'"),
+    ("thimac A { thimac.x B { } }", 1, 18, "expected 'NAME', found '.'"),
+    ("thimac A { process.x; }", 1, 19, "expected ';', found '.'"),
+    ("thimac A { release.x; }", 1, 19, "expected ';', found '.'"),
+    ("thimac A { transfer.x; }", 1, 20, "expected ';', found '.'"),
+    ("thimac A { receive.x; }", 1, 19, "expected ';', found '.'"),
+    ("thimac A { create; } event E covers.x { A.create };", 1, 36,
+     "expected '{', found '.'"),
 ]
 
 
@@ -364,7 +378,10 @@ def _outcome(parse, text):
 #: What the mutations below put in: names that are keywords somewhere,
 #: characters `\w` admits but no name starts with, and the blanks and
 #: comments that may stand around a `.`
-_KEYWORDS = ["not", "true", "false", "input", "guard", "covers"]
+_KEYWORDS = ["thimac", "flow", "trigger", "event", "behavior", "terminal",
+             "repeatable", "store", "create", "process", "release",
+             "transfer", "receive", "specializes", "covers", "input",
+             "guard", "and", "or", "not", "true", "false"]
 _BAD = ["²", "½"]
 _GAPS = [" ", "\n", "\t", "# c\n", " # c\n "]
 
@@ -399,9 +416,8 @@ def _mutated_fixtures(draw):
 #: Random lexemes, glued or apart, alone or where a path, an update
 #: rule or a guard goes, so that some of them parse
 _SOUP = st.lists(st.sampled_from([
-    "thimac", "A", "b", "A.b", "b.c", "store", "create", "process", "flow",
-    "trigger", "event", "behavior", "terminal", "repeatable", "and", "or",
-    *_KEYWORDS, "not.b", "true.A", "false.b.c", "A.not", "A.true", *_BAD,
+    "A", "b", "A.b", "b.c", *_KEYWORDS, "not.b", "true.A", "false.b.c",
+    "A.not", "A.true", *_BAD,
     ".", "..", "{", "}", ";", ",", "(", ")", "=", ":=", "->", "-->", "→",
     "<", "+", "-", "1", "2.5", '"s"', *_GAPS, ""]),
     max_size=8).map("".join)
