@@ -14,10 +14,11 @@ inside the regex and yields one string per lexeme, and a path written
 without blanks, `A.b.c`, is one lexeme. Each distinct lexeme is then
 classified once into a shared `(type, value)` tuple, and the parser reads
 those tuples by index, inline in the loops that run once per member,
-edge, cover, path or operand. Where a check fails on a path, the parser
-splits it and checks again (`_Parser.split`), so errors are those of one
-name a token. No line or column is tracked: a `ParseError` finds its
-token's place in one more walk of the lexemes (`_position`).
+edge, cover, path or operand. So that errors are those of one name a
+token, a path is split into its head, `.` and the rest at the lexer if
+its head is a keyword, and where the parser reads one name, but nowhere
+else. No line or column is tracked: a `ParseError` finds its token's
+place in one more walk of the lexemes (`_position`).
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ _PATH_LEXEME_RE = re.compile(r"""(?x)
   | \Z
 """)
 
-#: Dotted lexemes with these heads read as a keyword or a literal first.
-_HEADS = ("not.", "true.", "false.")
+#: The words a declaration starts with, in the order errors list them.
+_DECLARATIONS = ("thimac", "flow", "trigger", "event", "behavior",
+                 "terminal", "repeatable")
+#: Every word the parser compares a NAME token with. The lexer splits a
+#: path headed by one, so that no such check meets a path.
+_KEYWORDS = {*_DECLARATIONS, "store", *md.KIND_ORDER, "specializes", "covers",
+             "input", "guard", "and", "or", "not", *_BOOLEANS}
 
 #: The `.` token of a split path, told from a `.` lexeme by identity.
 _SPLIT_DOT = (".", ".")
@@ -93,10 +99,10 @@ class ParseError(TmError):
 
 def _classify(lexeme: str) -> tuple:
     """The `(type, value)` token of a lexeme: NAME, PATH (dotted names),
-    NUMBER, STRING, EOF or the punctuation itself. A path headed `not`,
-    `true` or `false` is SPLIT, with its tokens as value (see `_split`),
-    since one name a token reads its head as a keyword or a literal. A
-    lexeme that is no token is ERROR: (message, offset of its bad part).
+    NUMBER, STRING, EOF or the punctuation itself. A path headed by a
+    keyword is SPLIT, with its tokens as value (see `_split`), since one
+    name a token reads its head as that keyword. A lexeme that is no
+    token is ERROR: (message, offset of its bad part).
     """
     first = lexeme[:1]
     # in ASCII, `[^\W\d]` is a letter or `_`, so each part is a name
@@ -119,15 +125,14 @@ def _classify(lexeme: str) -> tuple:
             except ValueError:  # more digits than int() reads (4300)
                 pass
             return ("ERROR", (f"number too long: {len(lexeme)} digits", 0))
-        # `\w` admits digits such as '²' that str.isalpha() rejects
         at = 0
         for part in lexeme.split("."):
-            if not (part[:1].isalpha() or part[:1] == "_"):
+            if not md.is_name(part):
                 return ("ERROR", (f"unexpected character {part[:1]!r}", at))
             at += len(part) + 1
     if "." not in lexeme:
         return ("NAME", lexeme)
-    return (("SPLIT", _split(lexeme)) if lexeme.startswith(_HEADS)
+    return (("SPLIT", _split(lexeme)) if lexeme.partition(".")[0] in _KEYWORDS
             else ("PATH", lexeme))
 
 
@@ -206,9 +211,9 @@ class _Parser:
 
     def split(self) -> bool:
         """Split a PATH next token into its head, `.` and rest, and say if it
-        was one. A failed check calls it and checks again: the grammar reads
-        a `.` after a name only in a path, so it meets what one name a token
-        meets."""
+        was one: to read one name (`expect`) or to report the head
+        (`unexpected`). The grammar reads a `.` after a name only in a
+        path, so what follows meets what one name a token meets."""
         type_, path = self.tokens[self.pos]
         if type_ != "PATH":
             return False
@@ -226,12 +231,12 @@ class _Parser:
                           expected)
 
     def take(self, type_: str, value=None) -> bool:
-        """Consume the next token if it matches and say whether it did."""
+        """Consume the next token if it matches and say whether it did. It
+        splits no path: the lexer splits a path headed by a keyword."""
         tok = self.tokens[self.pos]
-        if tok[0] == type_ and (value is None or tok[1] == value):
-            self.pos += 1
-            return True
-        return tok[0] == "PATH" and self.split() and self.take(type_, value)
+        taken = tok[0] == type_ and (value is None or tok[1] == value)
+        self.pos += taken
+        return taken
 
     def expect(self, type_: str, value=None):
         """Consume the next token, which must match, and return its value."""
@@ -273,13 +278,11 @@ class _Parser:
                     raise self.error(self.pos, "behavior block re-declared")
                 behavior_edges = self.parse_behavior()
             elif word == "terminal":
-                terminals.extend(self.parse_event_list("terminal"))
+                terminals.extend(self.parse_event_list())
             elif word == "repeatable":
-                repeatable.extend(self.parse_event_list("repeatable"))
-            elif not self.split():  # a path: dispatch again on its head
-                raise self.unexpected("a declaration", [
-                    "thimac", "flow", "trigger", "event", "behavior",
-                    "terminal", "repeatable"])
+                repeatable.extend(self.parse_event_list())
+            else:
+                raise self.unexpected("a declaration", _DECLARATIONS)
         return (thimacs, actions, flows, triggers, event_decls,
                 behavior_edges, terminals, repeatable)
 
@@ -302,8 +305,6 @@ class _Parser:
                 subthimacs.append(self.parse_thimac(path, actions, depth + 1))
                 continue
             if word != "store" and word not in md.KIND_ORDER:
-                if self.split():
-                    continue
                 raise self.unexpected("a thimac member", [
                     "thimac", "store", *sorted(md.KIND_ORDER), "}"])
             has_value = tokens[start + 1][0] == "="
@@ -380,8 +381,8 @@ class _Parser:
         self.expect("}")
         return edges
 
-    def parse_event_list(self, keyword) -> list[str]:
-        self.expect("NAME", keyword)
+    def parse_event_list(self) -> list[str]:
+        self.pos += 1  # `terminal` or `repeatable`, read by the caller
         names = [self.expect("NAME")]
         while self.take(","):
             names.append(self.expect("NAME"))
@@ -463,8 +464,6 @@ class _Parser:
         while (op := self.tokens[self.pos][0]) == "+" or op == "-":
             self.pos += 1
             rest.append((op, self.parse_primary()))
-        if op == "PATH":  # the next check meets its head: `and`, `or`, ...
-            self.split()
         return ex.chain(first, rest)
 
     def parse_primary(self) -> ex.Expr:

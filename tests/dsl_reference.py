@@ -3,7 +3,8 @@ one lexeme: one NAME token per path part, and `dsl.parse`'s oracle.
 
 `parse` gives the same models as `dsl.parse` and raises the same
 `dsl.ParseError` (line, column, message and `expected`) for every text.
-Tests compare the two; nothing else imports this module.
+`test_dsl` compares the two, and `test_cli` mutates fixtures one token
+at a time with `_lexeme_matches`.
 """
 
 from __future__ import annotations

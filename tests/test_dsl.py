@@ -452,6 +452,13 @@ def test_parse_agrees_with_the_one_name_a_token_reference(text):
         _outcome(dsl_reference.parse, text)
 
 
+def test_the_lexer_splits_a_path_headed_by_a_keyword_and_no_other():
+    for keyword in _KEYWORDS:
+        assert dsl._tokenize(f"{keyword}.x.y") == \
+            dsl._tokenize(f"{keyword} . x.y"), keyword
+    assert dsl._tokenize("A.b") == [("PATH", "A.b"), ("EOF", None)]
+
+
 @pytest.mark.parametrize("tail, error", [
     ("thimac {", "197:8: expected 'NAME', found '{'"),
     ("thimac A.b { }", "197:9: expected '{', found '.'"),
