@@ -97,6 +97,30 @@ def test_a_duplicate_event_id_is_an_error_without_a_chronology(
         1, "", "error: duplicate event id 'E'\n")
 
 
+_ONE_EVENT = "thimac A { create; }\nevent E covers { A.create };\n"
+
+
+@pytest.mark.parametrize("source, command, code, out, err", [
+    (_ONE_EVENT + "behavior { }\nbehavior { }\n", "check", 2, "",
+     "parse error: 4:1: behavior block re-declared\n"),
+    ("thimac A { create; }\nevent E covers { A.create, };\n", "fmt", 0,
+     "thimac A {\n    create;\n}\n\nevent E covers { A.create };\n", ""),
+    (_ONE_EVENT + "behavior { }\nterminal X;\n", "check", 1, "",
+     "error: declaration references unknown event 'X'\n"),
+    (_ONE_EVENT + "behavior { }\nrepeatable Y;\n", "check", 1, "",
+     "error: declaration references unknown event 'Y'\n"),
+    ("thimac A { create; transfer; }\nthimac B { transfer; }\n"
+     + "trigger A.transfer --> B.transfer;\n" * 2, "check", 1, "",
+     "error: duplicate trigger A.transfer --> B.transfer\n"),
+], ids=["behavior-twice", "trailing-comma", "unknown-terminal",
+        "unknown-repeatable", "duplicate-trigger"])
+def test_a_declaration_edge_case_keeps_its_output(capsys, tmp_path, source,
+                                                  command, code, out, err):
+    path = tmp_path / "case.tm"
+    path.write_text(source)
+    assert run(capsys, command, str(path)) == (code, out, err)
+
+
 def test_check_reports_an_event_of_a_file_without_a_chronology(
         capsys, tmp_path):
     path = tmp_path / "input.tm"
@@ -611,6 +635,10 @@ def test_to_tm_malformed_json(capsys, tmp_path):
      "/: not valid JSON (maximum recursion depth exceeded"),
     ('{"classes": [' + "9" * 5000 + "]}",
      "/: not valid JSON (Exceeds the limit (4300 digits)"),
+    ("[]", "/: expected an object"),
+    ('{"classes": [{"name": "A", "methods": [{"name": "m", '
+     '"returns": "int"}]}]}',
+     "/classes/0/methods/0/returns: expected a value type or null"),
 ])
 def test_to_tm_rejects_json_it_cannot_read(capsys, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -1166,9 +1194,16 @@ _TM_OR_CHECK = r"tm(?: check)?: error: "
     (["simulate", "F", "--world"], 2, "",
      "tm simulate: error: argument --world: expected one argument"),
     (["check", "--", "F"], 0, "", None),
+    (["simulate", "F", "--max-steps", "abc"], 2, "",
+     "tm simulate: error: argument --max-steps: expected an integer of at "
+     "least 1, got 'abc'"),
+    (["dot", "F", "--show-stores=yes"], 2, "",
+     "tm dot: error: argument --show-stores: ignored explicit argument "
+     "'yes'"),
 ], ids=["no-command", "help", "command-help", "no-file", "two-files",
         "unknown-option", "unknown-command", "option-equals-value",
-        "option-prefix", "invalid-choice", "missing-value", "end-of-options"])
+        "option-prefix", "invalid-choice", "missing-value", "end-of-options",
+        "non-integer-value", "flag-with-value"])
 def test_argument_grammar(capsys, beef_path, argv, code, out, error):
     argv = [beef_path if arg == "F" else arg for arg in argv]
     got, printed, err = run(capsys, *argv)
