@@ -6,7 +6,8 @@ flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m)
 for every model m that `model.build_model` accepts, unless an expression
 in m reads a path no text writes (see `expr.to_text`): print_text raises
-ModelError for it.
+ModelError for it. A guard or an update rule is read by one method,
+`_Parser.parse_expr`, climbing the operator bindings in `expr.BINDING`.
 
 Cost. A text is lexed once, whole, and parsed once. One C-level
 `findall` of `_PATH_LEXEME_RE` skips blanks, line breaks and comments
@@ -70,7 +71,9 @@ _SPLIT_DOT = (".", ".")
 #: kind -> its place in `KIND_ORDER`, where `print_text` puts it
 _KIND_RANK = {kind: i for i, kind in enumerate(md.KIND_ORDER)}
 
-_COMPARISONS = frozenset(["<=", ">=", "!=", "<", ">", "="])
+#: A binary operator's token -> its binding, from `ex.BINDING`.
+_BINDING = {("NAME", op) if op.isalpha() else (op, op): binding
+            for op, binding in ex.BINDING.items()}
 
 _PUNCT = frozenset(["-->", "->", ":=", "<=", ">=", "!=", *"<>={};,.()+-"])
 
@@ -324,7 +327,7 @@ class _Parser:
                             start, "only process actions take an update rule")
                     target = self.parse_path()
                     self.expect(":=")
-                    update = (target, self.parse_additive())
+                    update = (target, self.parse_expr(ex.SUM))
                 actions.append(md.Action(path, word, update))
             if tokens[self.pos][0] != ";":
                 raise self.unexpected(";")
@@ -362,7 +365,7 @@ class _Parser:
         self.expect("}")
         input_path = self.parse_path() if self.take("NAME", "input") else None
         guard_at = self.pos
-        guard = self.parse_or() if self.take("NAME", "guard") else None
+        guard = self.parse_expr() if self.take("NAME", "guard") else None
         self.expect(";")
         return _EventDecl(event_id, label, covers, input_path, guard,
                           guard_at)
@@ -375,7 +378,7 @@ class _Parser:
             src = self.expect("NAME")
             self.expect("->")
             dst = self.expect("NAME")
-            guard = self.parse_or() if self.take("NAME", "guard") else None
+            guard = self.parse_expr() if self.take("NAME", "guard") else None
             self.expect(";")
             edges.append(BehaviorEdge(src, dst, guard))
         self.expect("}")
@@ -428,43 +431,36 @@ class _Parser:
 
     # -- expressions --
 
-    def parse_or(self) -> ex.Expr:
-        first, rest = self.parse_and(), []
-        while self.tokens[self.pos] == ("NAME", "or"):
-            self.pos += 1
-            rest.append(("or", self.parse_and()))
-        return ex.chain(first, rest)
-
-    def parse_and(self) -> ex.Expr:
-        first, rest = self.parse_not(), []
-        while self.tokens[self.pos] == ("NAME", "and"):
-            self.pos += 1
-            rest.append(("and", self.parse_not()))
-        return ex.chain(first, rest)
-
-    def parse_not(self) -> ex.Expr:
-        if self.tokens[self.pos] == ("NAME", "not"):
+    def parse_expr(self, loosest=ex.OR) -> ex.Expr:
+        """An expression that binds at least as tightly as `loosest`, where
+        `not` is the keyword only if `loosest <= NOT`, as `ex.to_text` has
+        it. While the next operator's binding lies in `[loosest, bound)`, a
+        comparison takes one sum on its right and a run takes operands one
+        level tighter; after either, only a looser operator may follow."""
+        tokens = self.tokens
+        if loosest <= ex.NOT and tokens[self.pos] == ("NAME", "not"):
             self.pos += 1
             self.enter()
-            operand = self.parse_not()
+            left, bound = ex.Unary("not", self.parse_expr(ex.NOT)), ex.NOT
             self.depth -= 1
-            return ex.Unary("not", operand)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ex.Expr:
-        left = self.parse_additive()
-        op = self.tokens[self.pos][0]
-        if op in _COMPARISONS:
-            self.pos += 1
-            return ex.Binary(op, left, self.parse_additive())
+        else:
+            left, bound = self.parse_primary(), ex.SUM + 1
+        while loosest <= (binding := _BINDING.get(tokens[self.pos], -1)) \
+                < bound:
+            if binding == ex.COMPARISON:
+                self.pos += 1
+                left = ex.Binary(tokens[self.pos - 1][1], left,
+                                 self.parse_expr(ex.SUM))
+            else:  # a run, whose operands in a sum are primaries
+                rest = []
+                while _BINDING.get(token := tokens[self.pos]) == binding:
+                    self.pos += 1
+                    operand = (self.parse_primary() if binding == ex.SUM
+                               else self.parse_expr(binding + 1))
+                    rest.append((token[1], operand))
+                left = ex.chain(left, rest)
+            bound = binding
         return left
-
-    def parse_additive(self) -> ex.Expr:
-        first, rest = self.parse_primary(), []
-        while (op := self.tokens[self.pos][0]) == "+" or op == "-":
-            self.pos += 1
-            rest.append((op, self.parse_primary()))
-        return ex.chain(first, rest)
 
     def parse_primary(self) -> ex.Expr:
         type_, value = self.tokens[self.pos]
@@ -476,7 +472,7 @@ class _Parser:
         if type_ == "(":
             self.pos += 1
             self.enter()
-            inner = self.parse_or()
+            inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return inner

@@ -2,7 +2,9 @@
 
 Used by guards on behavioral edges and by update rules attached to Process
 actions. The grammar is deliberately tiny: comparisons between store paths
-and literals, `and`/`or`/`not`, and `+`/`-` for the update rules.
+and literals, `and`/`or`/`not`, and `+`/`-` for the update rules. How
+tightly each operator binds is written once, in `BINDING`: `dsl`'s parser
+reads its levels from that table, and `chain` and `to_text` read it too.
 
 The nodes are `Lit` (a literal), `PathRef` (a store read), `Unary` (`not`),
 `Binary` (one comparison) and `Chain`, a run of one operator level:
@@ -64,14 +66,14 @@ _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
 
 _MAX = sys.float_info.max
 
-#: How tightly each kind of node binds, loosest first, as the parser nests
-#: its levels: a run of `or`, a run of `and`, `not`, a comparison and a
-#: sum. A literal or a path binds tightest of all.
+#: How tightly each kind of node binds, loosest first: a run of `or`, a
+#: run of `and`, `not`, a comparison and a sum; a literal or a path binds
+#: tightest. `BINDING`, the one precedence table, gives each binary
+#: operator's, and the parser reads its levels from it: `+` and `-` mix
+#: in one run, `and` and `or` do not, and a comparison does not repeat.
 OR, AND, NOT, COMPARISON, SUM = range(5)
-
-#: The run an operator belongs to, by its binding: `+` and `-` mix, `and`
-#: and `or` do not.
-_RUN = {"or": OR, "and": AND, "+": SUM, "-": SUM}
+BINDING = {"or": OR, "and": AND, **dict.fromkeys(_CMP, COMPARISON),
+           "+": SUM, "-": SUM}
 
 
 def in_range(number) -> bool:
@@ -85,7 +87,8 @@ def chain(first: Expr, rest) -> Expr:
     if not rest:
         return first
     rest = tuple(rest)
-    if type(first) is Chain and _RUN[first.rest[0][0]] == _RUN[rest[0][0]]:
+    if (type(first) is Chain
+            and BINDING[first.rest[0][0]] == BINDING[rest[0][0]]):
         return Chain(first.first, first.rest + rest)
     return Chain(first, rest)
 
@@ -199,7 +202,7 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
                              f"'{head}' reads as a keyword")
         return expr.path
     binding = NOT if kind is Unary else COMPARISON if kind is Binary \
-        else _RUN[expr.rest[0][0]]
+        else BINDING[expr.rest[0][0]]
     # a first operand starts where this text starts, or after its `(`
     first_lead = OR if binding < loosest else lead
     if kind is Unary:

@@ -847,6 +847,21 @@ def test_thimacs_nested_past_the_bound_are_a_parse_error(tmp_path, classes):
         assert result.stderr.endswith(": nesting too deep\n"), command
 
 
+def test_an_update_rule_at_the_bound_reads_in_thimacs_nested_600_deep(
+        tmp_path):
+    # the two bounds share one stack: each thimac level and each `(` of
+    # the rule costs the parser frames
+    path = ".".join(f"C{i}" for i in range(599)) + ".D"
+    parens = dsl.MAX_EXPR_DEPTH
+    source = tmp_path / "deep.tm"
+    source.write_text(_nest(600, (
+        f"thimac D {{ store = 0; process = {path} := " + "(" * parens
+        + f"{path} + 1" + ")" * parens + "; } ")))
+    for command in ("check", "fmt", "dot", "to-class"):
+        result = _tm(command, str(source))
+        assert (result.returncode, result.stderr) == (0, ""), command
+
+
 def _deep_expressions(parens=0, nots=0, sums=0, runs=0):
     """`.tm` text whose first guard nests `parens` parentheses and then
     `runs` levels of `A > 0 or A > 0 and (`, whose second nests `nots`
