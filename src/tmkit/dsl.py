@@ -448,9 +448,9 @@ class _Parser:
         while loosest <= (binding := _BINDING.get(tokens[self.pos], -1)) \
                 < bound:
             if binding == ex.COMPARISON:
+                op = tokens[self.pos][1]
                 self.pos += 1
-                left = ex.Binary(tokens[self.pos - 1][1], left,
-                                 self.parse_expr(ex.SUM))
+                left = ex.Binary(op, left, self.parse_expr(ex.SUM))
             else:  # a run, whose operands in a sum are primaries
                 rest = []
                 while _BINDING.get(token := tokens[self.pos]) == binding:
