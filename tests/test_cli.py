@@ -639,6 +639,11 @@ def test_to_tm_malformed_json(capsys, tmp_path):
     ('{"classes": [{"name": "A", "methods": [{"name": "m", '
      '"returns": "int"}]}]}',
      "/classes/0/methods/0/returns: expected a value type or null"),
+    ('{"classes":[{"name":"A","attributes":[{"name":"x"}]}]}',
+     "/classes/0/attributes/0/type: missing"),
+    ('{"classes": [{"name": "A", "methods": [{"name": "m", '
+     '"params": [{"name": "p"}]}]}]}',
+     "/classes/0/methods/0/params/0/type: missing"),
 ])
 def test_to_tm_rejects_json_it_cannot_read(capsys, tmp_path, text, message):
     path = tmp_path / "bad.json"
