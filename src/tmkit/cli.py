@@ -270,13 +270,11 @@ def cmd_simulate(args) -> int:
 def cmd_dot(args) -> int:
     from . import dot
     static, events, behavior = _parse(args.file)
-    opts = dot.RenderOptions(args.target, args.show_stores, args.rankdir)
-    if args.target == "behavior":
-        if behavior is None:
-            raise TmError("file declares no behavioral model")
-        sys.stdout.write(dot.emit_dot(behavior, opts))
-    else:
-        sys.stdout.write(dot.emit_dot(static, opts))
+    drawn = behavior if args.target == "behavior" else static
+    if drawn is None:
+        raise TmError("file declares no behavioral model")
+    sys.stdout.write(dot.emit_dot(drawn, dot.RenderOptions(
+        args.target, args.show_stores, args.rankdir)))
     return OK
 
 

@@ -35,8 +35,6 @@ from .events import (BehavioralModel, BehaviorEdge, EventRegion,
                      build_behavior, eventize)
 from .model import MAX_THIMAC_DEPTH
 
-_BOOLEANS = {"true": True, "false": False}
-
 #: Blanks, line breaks and `#` comments, which separate lexemes.
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
 _SKIP_RE = re.compile(_SKIP)
@@ -47,9 +45,9 @@ _SKIP_RE = re.compile(_SKIP)
 #: Names and paths, punctuation, numbers and strings start with different
 #: characters, so their order only puts the common ones first; the
 #: catch-all error comes last, and `-->` wins over `->` over `-`.
-_PATH_LEXEME_RE = re.compile(r"""(?x)
-    ( [^\W\d]\w*(?:\.[^\W\d]\w*)*               # name or path
-    | -->|->|:=|<=|>=|!=|[<>={};,.()+\-→]       # punctuation
+_PATH_LEXEME_RE = re.compile(rf"""(?x)
+    ( {md.NAME_PATTERN}(?:\.{md.NAME_PATTERN})*   # name or path
+    | -->|->|:=|<=|>=|!=|[<>={{}};,.()+\-→]     # punctuation
     | \d+(?:\.\d*)?                             # number
     | "(?:[^"\\\n]|\\[\s\S])*"                  # string
     | [^ \t\r\n\#]                              # a lexical error
@@ -63,7 +61,7 @@ _DECLARATIONS = ("thimac", "flow", "trigger", "event", "behavior",
 #: Every word the parser compares a NAME token with. The lexer splits a
 #: path headed by one, so that no such check meets a path.
 _KEYWORDS = {*_DECLARATIONS, "store", *md.KIND_ORDER, "specializes", "covers",
-             "input", "guard", "and", "or", "not", *_BOOLEANS}
+             "input", "guard", "and", "or", "not", *ex.BOOLEANS}
 
 #: The `.` token of a split path, told from a `.` lexeme by identity.
 _SPLIT_DOT = (".", ".")
@@ -414,9 +412,9 @@ class _Parser:
         if type_ == "NUMBER" or type_ == "STRING":
             self.pos += 1
             return value
-        if type_ == "NAME" and value in _BOOLEANS:
+        if type_ == "NAME" and value in ex.BOOLEANS:
             self.pos += 1
-            return _BOOLEANS[value]
+            return ex.BOOLEANS[value]
         if type_ == "-":
             self.pos += 1
             return -self.expect("NUMBER")
@@ -426,7 +424,7 @@ class _Parser:
         value = self.take_literal()
         if value is None:
             raise self.unexpected("a literal",
-                                  ["NUMBER", "STRING", "true", "false"])
+                                  ["NUMBER", "STRING", *ex.BOOLEANS])
         return value
 
     # -- expressions --
@@ -464,7 +462,7 @@ class _Parser:
 
     def parse_primary(self) -> ex.Expr:
         type_, value = self.tokens[self.pos]
-        if type_ == "PATH" or type_ == "NAME" and value not in _BOOLEANS:
+        if type_ == "PATH" or type_ == "NAME" and value not in ex.BOOLEANS:
             return ex.PathRef(self.parse_path())
         value = self.take_literal()
         if value is not None:

@@ -61,8 +61,7 @@ class BehavioralModel:
 
     @functools.cached_property
     def _by_id(self) -> dict[str, EventRegion]:
-        # reversed, so that a repeated id maps to its first event
-        return {event.id: event for event in reversed(self.events)}
+        return {event.id: event for event in self.events}
 
     @functools.cached_property
     def incoming(self) -> dict[str, list[BehaviorEdge]]:

@@ -26,6 +26,8 @@ from .errors import GuardEvalError, ModelError
 
 #: Sentinel for a store that exists but has no value yet.
 UNSET = object()
+#: The literal words and their values, which `dsl` reads and `to_text` writes
+BOOLEANS = {"true": True, "false": False}
 
 Value = int | float | str | bool
 
@@ -197,7 +199,7 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
         return _lit_text(expr.value)
     if kind is PathRef:
         head = expr.path.partition(".")[0]
-        if head in ("true", "false") or head == "not" and lead <= NOT:
+        if head in BOOLEANS or head == "not" and lead <= NOT:
             raise ModelError(f"path '{expr.path}' cannot be written where "
                              f"'{head}' reads as a keyword")
         return expr.path

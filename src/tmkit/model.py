@@ -46,7 +46,8 @@ VALUE_TYPES = ("number", "text", "boolean", "reference")
 MAX_THIMAC_DEPTH = 981
 
 #: A thimac, event or path-part name, which `dsl` lexes as one NAME token
-_NAME_RE = re.compile(r"[^\W\d]\w*")
+NAME_PATTERN = r"[^\W\d]\w*"
+_NAME_RE = re.compile(NAME_PATTERN)
 
 
 @record

@@ -167,8 +167,8 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
 
 def _steps(actions, event: EventRegion, flows):
     """(actions in firing order, firing steps) of one event; a step is
-    (action id, is a Create, sorted flow predecessors, (target, compiled
-    rule) or None). The order is the smallest topological order of the
+    (action id, is a Create, flow predecessors, (target, compiled rule)
+    or None). The order is the smallest topological order of the
     covered flows (Kahn's, smallest ready action first), or the sorted
     covers on a cycle."""
     preds: dict[str, list[str]] = {}
@@ -191,7 +191,7 @@ def _steps(actions, event: EventRegion, flows):
         order = sorted(event.covers)
     return tuple(order), tuple(
         (aid, actions[aid].kind == "create",
-         tuple(sorted(preds.get(aid, ()))),
+         tuple(preds.get(aid, ())),
          (update := actions[aid].update)
          and (update[0], ex.compiled(update[1])))
         for aid in order)
@@ -242,15 +242,11 @@ def _fire(event: EventRegion, plan, step: int, world: WorldState,
 # -- trace serialization --
 
 def trace_to_text(trace: Trace) -> str:
-    lines = []
-    for entry in trace.entries:
-        deltas = ";".join(
-            f"{d.path}={scalar(d.old, 'unset')}→{scalar(d.new, 'unset')}"
-            for d in entry.deltas)
-        lines.append(f"{entry.step}\t{entry.event}\t"
-                     f"fired:{','.join(entry.actions_fired)}\t"
-                     f"deltas:{deltas}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        f"{e.step}\t{e.event}\tfired:{','.join(e.actions_fired)}\tdeltas:"
+        + ";".join(f"{d.path}={scalar(d.old, 'unset')}→"
+                   f"{scalar(d.new, 'unset')}" for d in e.deltas) + "\n"
+        for e in trace.entries)
 
 
 def trace_to_json(trace: Trace) -> str:

@@ -106,10 +106,10 @@ def _classify(thimac: md.Thimac, path: str, parent, classes, paths, owned):
         if sub.specializes:
             subclasses.append(sub)
             continue
-        method_children = [c for c in sub.subthimacs if _is_action_only(
-            c, f"{sub_path}.{c.name}", owned)]
         if sub.store is not None:
-            if sub.subthimacs and len(method_children) == len(sub.subthimacs):
+            if sub.subthimacs and all(
+                    _is_action_only(c, f"{sub_path}.{c.name}", owned)
+                    for c in sub.subthimacs):
                 raise AmbiguousSubthimac(
                     f"'{sub_path}' has both a store and action-only "
                     "children; cannot classify")
