@@ -5,7 +5,7 @@ flow, `-->` a trigger (`→` is accepted as an alias for `->` on input),
 `#` starts a comment, and dotted paths resolve through thimac nesting.
 parse/print round-trip: parse(print_text(m, ...)) equals canonicalize(m)
 for every model m that `model.build_model` accepts, unless an expression
-in m reads a path no text writes (see `expr.to_text`): print_text raises
+in m holds what no text writes (see `expr.to_text`): print_text raises
 ModelError for it. A guard or an update rule is read by one method,
 `_Parser.parse_expr`, climbing the operator bindings in `expr.BINDING`.
 

@@ -76,6 +76,9 @@ _MAX = sys.float_info.max
 OR, AND, NOT, COMPARISON, SUM = range(5)
 BINDING = {"or": OR, "and": AND, **dict.fromkeys(_CMP, COMPARISON),
            "+": SUM, "-": SUM}
+#: Node kind -> operator -> the binding of its text, for each it takes
+_WRITTEN = {Unary: {"not": NOT}, Binary: dict.fromkeys(_CMP, COMPARISON),
+            Chain: {op: b for op, b in BINDING.items() if b != COMPARISON}}
 
 
 def in_range(number) -> bool:
@@ -189,13 +192,17 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     least as tightly as the run, each later one more tightly, as in
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
-    A path headed `true` or `false` raises ModelError, as does one headed
-    `not` where `lead`, the binding the text starts at (`loosest` but in
-    a first operand), reads `not` as the keyword: `not = 1` is no guard.
+    ModelError for a literal of no value type, an operator its node does
+    not take, a path headed by a word of `BOOLEANS`, and one headed `not`
+    where `lead`, the binding the text starts at (`loosest` but in a
+    first operand), reads `not` as the keyword: `not = 1` is no guard.
     """
     lead = loosest if lead is None else lead
     kind = type(expr)
     if kind is Lit:
+        if not (isinstance(expr.value, (int, float)) and in_range(expr.value)
+                or isinstance(expr.value, str)):
+            raise ModelError("literal is no number in range, text or boolean")
         return _lit_text(expr.value)
     if kind is PathRef:
         head = expr.path.partition(".")[0]
@@ -203,8 +210,9 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
             raise ModelError(f"path '{expr.path}' cannot be written where "
                              f"'{head}' reads as a keyword")
         return expr.path
-    binding = NOT if kind is Unary else COMPARISON if kind is Binary \
-        else BINDING[expr.rest[0][0]]
+    op = expr.op if kind is not Chain else expr.rest[0][0] if expr.rest else ""
+    if (binding := _WRITTEN[kind].get(op)) is None:
+        raise ModelError(f"{kind.__name__} operator {op!r} cannot be written")
     # a first operand starts where this text starts, or after its `(`
     first_lead = OR if binding < loosest else lead
     if kind is Unary:
@@ -215,6 +223,8 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     else:
         parts = [to_text(expr.first, binding, first_lead)]
         for op, operand in expr.rest:
+            if BINDING.get(op) != binding:
+                raise ModelError(f"Chain operator {op!r} cannot be written")
             parts.append(f" {op} {to_text(operand, binding + 1)}")
         text = "".join(parts)
     return text if binding >= loosest else f"({text})"

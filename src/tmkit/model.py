@@ -203,6 +203,8 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
             raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
         paths.add(path)
         if thimac.store is not None:
+            if value_type_of(thimac.store.value) is None:
+                raise ModelError(f"value of store '{path}' has no value type")
             stores[path] = thimac.store
 
     table: dict[str, Action] = {}

@@ -267,10 +267,33 @@ def _trees(names):
 
 _CANONICAL = _trees(_ALL_NAMES)
 
+#: Nodes as a library may build them that no text reads back as: a
+#: literal of no value type, a junk operator, a comparison, a lone run
+#: operator or none at all in a Unary or a Binary, and a Chain of two runs
+_JUNK = st.one_of(
+    st.builds(Lit, st.sampled_from([None, float("nan"), float("-inf"),
+                                    10 ** 400, [1]])),
+    st.builds(Unary, st.sampled_from(["-", "and", "~"]), _CANONICAL),
+    st.builds(Binary, st.sampled_from(["~", "+", "or", "not"]), _CANONICAL,
+              _CANONICAL),
+    st.builds(Chain, _CANONICAL, st.one_of(
+        st.just(()),
+        st.tuples(st.tuples(st.sampled_from(["*", "<", "=", "not", "~"]),
+                            _CANONICAL)),
+        st.tuples(st.tuples(st.sampled_from(["and", "or"]), _CANONICAL),
+                  st.tuples(st.sampled_from(["+", "-", "or"]), _CANONICAL))
+        .filter(lambda rest: rest[0][0] != rest[1][0]))))
+
 
 @settings(max_examples=300, deadline=None)
-@given(_CANONICAL)
-def test_parse_of_to_text_is_the_same_expression(expr):
+@given(_CANONICAL, st.none() | _JUNK, st.booleans())
+def test_parse_of_to_text_is_the_same_expression(expr, junk, first):
+    if junk is not None:  # as a first operand or a later one
+        tree = Binary("=", junk, expr) if first else \
+            chain(expr, [("and", junk)])
+        with pytest.raises(errors.ModelError):
+            to_text(tree)
+        return
     parsed = _guard(to_text(expr))
     assert parsed == expr and hash(parsed) == hash(expr)
     assert to_text(parsed) == to_text(expr)
