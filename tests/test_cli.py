@@ -751,18 +751,55 @@ def test_to_tm_in_process_with_too_little_stack_exits_1(capsys, tmp_path):
         1, "", "error: class hierarchy too deep\n")
 
 
-def _python(*argv):
-    """Run Python with tmkit importable, in a fresh interpreter."""
+def _python(*argv, **env):
+    """Run Python with tmkit importable, in a fresh interpreter, with the
+    environment variables `env` set too."""
     src = str(Path(tmkit.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def _tm(*argv):
     """Run `tm` in a fresh interpreter, whose stack starts empty."""
     return _python("-m", "tmkit.cli", *argv)
+
+
+#: Runs each command line in JSON `argv[1]` through `cli.main` and prints
+#: each one's exit code, stdout and stderr as JSON.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from tmkit import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results, indent=1))
+"""
+
+
+def test_no_output_depends_on_the_hash_seed():
+    # covers, the candidate set and trigger reach are sets of strings,
+    # whose order PYTHONHASHSEED picks; one fresh interpreter per seed
+    # runs every command, as a process per command would take seconds
+    runs = []
+    for name, inputs in (("bank", [*_BANK_FILLS, "--input", "E9:150"]),
+                         ("beef", ["--input", "E1:main dish"])):
+        path = corpus.fixture_path(name)
+        runs += [["check", path], ["fmt", path], ["dot", path],
+                 ["dot", path, "--target", "behavior"],
+                 ["dot", path, "--show-stores", "--rankdir", "TB"],
+                 ["to-class", path], ["simulate", path, *inputs],
+                 ["simulate", path, *inputs, "--trace-format", "json"]]
+    seed_0, seed_1 = (_python("-c", _RUN_EACH, json.dumps(runs),
+                              PYTHONHASHSEED=seed) for seed in "01")
+    assert (seed_0.returncode, seed_0.stderr) == (0, "")
+    assert [code for _, code, _, _ in json.loads(seed_0.stdout)] == \
+        [0] * len(runs)
+    assert seed_1.stdout == seed_0.stdout
 
 
 def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
@@ -1286,6 +1323,17 @@ def test_importing_uml_loads_neither_the_parser_nor_the_events():
     loaded = set(_python("-c", code).stdout.split())
     assert "tmkit.uml" in loaded
     assert loaded.isdisjoint({"tmkit.dsl", "tmkit.events"})
+
+
+def test_tmkit_loads_no_module_from_outside_the_standard_library():
+    # what site loaded before tmkit does not count
+    code = ("import sys; before = set(sys.modules); import tmkit, tmkit.cli, "
+            "tmkit.corpus; [getattr(tmkit, name) for name in tmkit.__all__]; "
+            "print(*sorted({name.partition('.')[0] "
+            "for name in set(sys.modules) - before}))")
+    loaded = set(_python("-c", code).stdout.split())
+    assert "tmkit" in loaded
+    assert loaded - {"tmkit", *sys.stdlib_module_names} == set()
 
 
 def test_the_package_ships_only_the_corpus():
