@@ -192,10 +192,9 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     least as tightly as the run, each later one more tightly, as in
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
-    ModelError for a literal of no value type, an operator its node does
-    not take, a path headed by a word of `BOOLEANS`, and one headed `not`
-    where `lead`, the binding the text starts at (`loosest` but in a
-    first operand), reads `not` as the keyword: `not = 1` is no guard.
+    ModelError for a literal of no value type, an operator its node lacks,
+    a path headed `true` or `false`, and one headed `not` where `lead`,
+    the binding the text starts at, reads `not` as the keyword: `not = 1`.
     """
     lead = loosest if lead is None else lead
     kind = type(expr)

@@ -203,9 +203,10 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
             raise DuplicateSiblingName(f"duplicate sibling thimac '{path}'")
         paths.add(path)
         if thimac.store is not None:
-            if value_type_of(thimac.store.value) is None:
-                raise ModelError(f"value of store '{path}' has no value type")
-            stores[path] = thimac.store
+            stores[path] = thimac.store  # typed below, once per value object
+    for path in {id(s.value): p for p, s in stores.items()}.values():
+        if value_type_of(stores[path].value) is None:
+            raise ModelError(f"value of store '{path}' has no value type")
 
     table: dict[str, Action] = {}
     for action in actions:
