@@ -46,7 +46,7 @@ _SKIP_RE = re.compile(_SKIP)
 #: characters, so their order only puts the common ones first; the
 #: catch-all error comes last, and `-->` wins over `->` over `-`.
 _PATH_LEXEME_RE = re.compile(rf"""(?x)
-    ( {md.NAME_PATTERN}(?:\.{md.NAME_PATTERN})*   # name or path
+    ( {md.NAME_PATTERN}(?:\.{md.NAME_PATTERN})* # name or path
     | -->|->|:=|<=|>=|!=|[<>={{}};,.()+\-→]     # punctuation
     | \d+(?:\.\d*)?                             # number
     | "(?:[^"\\\n]|\\[\s\S])*"                  # string

@@ -257,8 +257,8 @@ def validate_static(model: StaticModel) -> ValidationReport:
     rule reads or writes names a store; report isolated actions.
 
     Legality violations and storeless update paths are errors;
-    connectedness failures are warnings. One pass over the thimacs, the
-    actions and the flows and triggers.
+    connectedness failures are warnings. One pass over the flows, the
+    actions, and the flows and triggers; `model.stores` gives the stores.
     """
     report = ValidationReport([])
     for edge in model.flows:

@@ -267,9 +267,9 @@ def _trees(names):
 
 _CANONICAL = _trees(_ALL_NAMES)
 
-#: Nodes as a library may build them that no text reads back as: a
-#: literal of no value type, a junk operator, a comparison, a lone run
-#: operator or none at all in a Unary or a Binary, and a Chain of two runs
+#: Nodes a library may build that no text reads back as: a literal of no
+#: value type, a Unary other than `not`, a Binary that is no comparison,
+#: and a Chain of no operator, of one that no run takes, or of two runs
 _JUNK = st.one_of(
     st.builds(Lit, st.sampled_from([None, float("nan"), float("-inf"),
                                     10 ** 400, [1]])),
