@@ -193,7 +193,7 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
     ModelError for a literal of no value type, an operator its node lacks,
-    a path headed `true` or `false`, and one headed `not` where `lead`,
+    a path headed by a `BOOLEANS` word, and one headed `not` where `lead`,
     the binding the text starts at, reads `not` as the keyword: `not = 1`.
     """
     lead = loosest if lead is None else lead
