@@ -12,7 +12,7 @@ import sys
 from types import SimpleNamespace
 
 from . import dsl
-from .errors import TmError, UmlError
+from .errors import TmError
 from .model import validate_static
 from .events import build_behavior, check_behavior
 
@@ -233,11 +233,7 @@ def cmd_to_class(args) -> int:
 def cmd_to_tm(args) -> int:
     from . import uml
     cm = uml.read_class_json(_read(args.file))
-    try:
-        text = dsl.print_text(uml.class_to_tm(cm))
-    except RecursionError:  # called in-process from a deep stack
-        raise UmlError("class hierarchy too deep") from None
-    _write_out(text, args.out)
+    _write_out(dsl.print_text(uml.class_to_tm(cm)), args.out)
     return OK
 
 

@@ -32,9 +32,37 @@ def emit_dot(obj, opts: RenderOptions = RenderOptions()) -> str:
 def _emit_static(static: md.StaticModel, opts: RenderOptions) -> str:
     lines = ["digraph tm {", f"  rankdir={opts.rankdir};",
              "  compound=true;"]
-    for thimac in static.thimacs:
-        _emit_thimac(lines, thimac, "", "  ", static.actions_by_owner,
-                     opts.show_stores)
+    owned = static.actions_by_owner
+    # the open level's iterator, path and indent, pushed as a cluster opens
+    stack = []
+    prefix, indent, level = "", "  ", iter(static.thimacs)
+    while True:
+        for thimac in level:
+            path = prefix + thimac.name
+            lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
+            label = thimac.name + (" (specializes)" if thimac.specializes
+                                   else "")
+            lines.append(f"{indent}  label={_quote(label)};")
+            for action in owned.get(path, ()):
+                lines.append(f"{indent}  {_quote(action.id)} "
+                             f"[label={_quote(action.kind.capitalize())}];")
+            if opts.show_stores and thimac.store is not None:
+                value = thimac.store.value
+                label = ("store" if value is None
+                         else f"store = {ex._lit_text(value)}")
+                lines.append(f"{indent}  {_quote(path + '.store')} "
+                             f"[shape=cylinder, label={_quote(label)}];")
+            if thimac.subthimacs:
+                stack.append((prefix, indent, level))
+                prefix, indent = path + ".", indent + "  "
+                level = iter(thimac.subthimacs)
+                break
+            lines.append(f"{indent}}}")
+        else:
+            if not stack:
+                break
+            prefix, indent, level = stack.pop()
+            lines.append(f"{indent}}}")
     for edge in static.flows:
         lines.append(f"  {_quote(edge.src)} -> {_quote(edge.dst)};")
     for edge in static.triggers:
@@ -42,29 +70,6 @@ def _emit_static(static: md.StaticModel, opts: RenderOptions) -> str:
                      "[style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _emit_thimac(lines, thimac: md.Thimac, prefix: str, indent: str, owned,
-                 show_stores: bool):
-    """Append the cluster of `thimac` and of its subthimacs; `owned` is
-    the model's `actions_by_owner`. A module function, not a closure, so
-    that no cycle keeps the model alive after the call."""
-    path = f"{prefix}.{thimac.name}" if prefix else thimac.name
-    lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
-    label = thimac.name + (" (specializes)" if thimac.specializes else "")
-    lines.append(f"{indent}  label={_quote(label)};")
-    for action in owned.get(path, ()):
-        lines.append(f"{indent}  {_quote(action.id)} "
-                     f"[label={_quote(action.kind.capitalize())}];")
-    if show_stores and thimac.store is not None:
-        value = thimac.store.value
-        label = ("store" if value is None
-                 else f"store = {ex._lit_text(value)}")
-        lines.append(f"{indent}  {_quote(path + '.store')} "
-                     f"[shape=cylinder, label={_quote(label)}];")
-    for sub in thimac.subthimacs:
-        _emit_thimac(lines, sub, path, indent + "  ", owned, show_stores)
-    lines.append(f"{indent}}}")
 
 
 def _emit_behavior(behavior: BehavioralModel, opts: RenderOptions) -> str:

@@ -241,13 +241,13 @@ class _Parser:
 
     def expect(self, type_: str, value=None):
         """Consume the next token, which must match, and return its value."""
-        tok = self.tokens[self.pos]
-        if tok[0] == type_ and (value is None or tok[1] == value):
-            self.pos += 1
-            return tok[1]
-        if self.split():
-            return self.expect(type_, value)
-        raise self.unexpected(value if value is not None else type_)
+        while True:  # once more after a PATH is split
+            tok = self.tokens[self.pos]
+            if tok[0] == type_ and (value is None or tok[1] == value):
+                self.pos += 1
+                return tok[1]
+            if not self.split():
+                raise self.unexpected(value if value is not None else type_)
 
     def enter(self):
         """Count the `(` or `not` just taken as one more level open."""
@@ -267,7 +267,7 @@ class _Parser:
         while (token := tokens[self.pos])[0] != "EOF":
             word = token[1] if token[0] == "NAME" else None
             if word == "thimac":
-                thimacs.append(self.parse_thimac("", actions))
+                self.parse_thimac(thimacs, actions)
             elif word == "flow":
                 flows.append(self.parse_edge("->", md.FlowEdge))
             elif word == "trigger":
@@ -287,23 +287,35 @@ class _Parser:
         return (thimacs, actions, flows, triggers, event_decls,
                 behavior_edges, terminals, repeatable)
 
-    def parse_thimac(self, prefix: str, actions, depth=1) -> md.Thimac:
-        if depth > MAX_THIMAC_DEPTH:
-            raise self.error(self.pos, "nesting too deep")
-        self.pos += 1  # `thimac`, read by the caller
-        name = self.expect("NAME")
-        path = f"{prefix}.{name}" if prefix else name
-        specializes = self.take("NAME", "specializes")
-        self.expect("{")
+    def parse_thimac(self, thimacs, actions):
+        """Read the thimac at the next token, `thimac`, into `thimacs`: one
+        token loop, `outer` holding each thimac open around the one read."""
         tokens = self.tokens
-        store = None
-        kinds = set()
-        subthimacs = []
-        while (token := tokens[self.pos])[0] != "}":
+        outer = []
+        name = specializes = store = kinds = path = None
+        subs = thimacs
+        while True:
             start = self.pos
+            token = tokens[start]
+            if token[0] == "}":
+                self.pos += 1
+                thimac = md.Thimac(name, specializes, store, tuple(subs))
+                name, specializes, store, kinds, subs, path = outer.pop()
+                subs.append(thimac)
+                if not outer:
+                    return
+                continue
             word = token[1] if token[0] == "NAME" else None
             if word == "thimac":
-                subthimacs.append(self.parse_thimac(path, actions, depth + 1))
+                if len(outer) == MAX_THIMAC_DEPTH:
+                    raise self.error(start, "nesting too deep")
+                outer.append((name, specializes, store, kinds, subs, path))
+                self.pos += 1
+                name = self.expect("NAME")
+                path = f"{path}.{name}" if path else name
+                specializes = self.take("NAME", "specializes")
+                self.expect("{")
+                store, kinds, subs = None, set(), []
                 continue
             if word != "store" and word not in md.KIND_ORDER:
                 raise self.unexpected("a thimac member", [
@@ -330,8 +342,6 @@ class _Parser:
             if tokens[self.pos][0] != ";":
                 raise self.unexpected(";")
             self.pos += 1
-        self.pos += 1
-        return md.Thimac(name, specializes, store, tuple(subthimacs))
 
     def parse_edge(self, arrow, factory):
         self.pos += 1  # `flow` or `trigger`, read by the caller
@@ -487,7 +497,7 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
     try:
         (thimacs, actions, flows, triggers, event_decls, behavior_edges,
          terminals, repeatable) = parser.parse_file()
-    except RecursionError:
+    except RecursionError:  # expressions recurse: a caller deep in its stack
         raise parser.error(parser.pos, "nesting too deep") from None
     static = md.build_model(thimacs, actions, flows, triggers)
 
@@ -516,8 +526,8 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
     """Emit the canonical DSL text of `canonicalize(static)`, with no sort
     of the whole action table; deterministic and parse-stable."""
-    blocks = ["\n".join(_thimac_lines(t, t.name, static.actions_by_owner, ""))
-              for t in static.thimacs]
+    blocks = ["\n".join(lines) for lines in
+              _thimac_lines(static.thimacs, static.actions_by_owner)]
     sections = (_edge_lines("flow", "->", static.flows),
                 _edge_lines("trigger", "-->", static.triggers),
                 [_event_line(ev) for ev in events])
@@ -539,29 +549,46 @@ def _edge_lines(keyword, arrow, edges):
         [f"{keyword} {e.src} {arrow} {e.dst}" for e in edges])]
 
 
-def _thimac_lines(thimac: md.Thimac, path, owned, indent):
-    head = f"{indent}thimac {thimac.name}"
-    if thimac.specializes:
-        head += " specializes"
-    lines = [head + " {"]
-    inner = indent + "    "
-    if thimac.store is not None:
-        if thimac.store.value is None:
-            lines.append(f"{inner}store;")
+def _kind_rank(action: md.Action) -> int:
+    return _KIND_RANK[action.kind]
+
+
+def _thimac_lines(thimacs, owned):
+    """The lines of each of `thimacs`, one list per root. The iterator of
+    the open level, its path and indent, is pushed when a subthimac opens."""
+    roots, stack = [], []
+    prefix, indent, level = "", "", iter(thimacs)
+    while True:
+        for thimac in level:
+            if not prefix:
+                lines = []
+                roots.append(lines)
+            path = prefix + thimac.name
+            lines.append(f"{indent}thimac {thimac.name}"
+                         + (" specializes {" if thimac.specializes else " {"))
+            inner = indent + "    "
+            if thimac.store is not None:
+                value = thimac.store.value
+                lines.append(f"{inner}store;" if value is None
+                             else f"{inner}store = {ex._lit_text(value)};")
+            for action in sorted(owned.get(path, ()), key=_kind_rank):
+                if action.update is not None:
+                    target, rule = action.update
+                    lines.append(f"{inner}{action.kind} = {target} := "
+                                 f"{ex.to_text(rule, ex.SUM)};")
+                else:
+                    lines.append(f"{inner}{action.kind};")
+            if thimac.subthimacs:
+                stack.append((prefix, indent, level))
+                prefix, indent = path + ".", inner
+                level = iter(thimac.subthimacs)
+                break
+            lines.append(f"{indent}}}")
         else:
-            lines.append(f"{inner}store = {ex._lit_text(thimac.store.value)};")
-    for action in sorted(owned.get(path, ()),
-                         key=lambda a: _KIND_RANK[a.kind]):
-        if action.update is not None:
-            target, rule = action.update
-            lines.append(f"{inner}{action.kind} = {target} := "
-                         f"{ex.to_text(rule, ex.SUM)};")
-        else:
-            lines.append(f"{inner}{action.kind};")
-    for sub in thimac.subthimacs:
-        lines.extend(_thimac_lines(sub, f"{path}.{sub.name}", owned, inner))
-    lines.append(f"{indent}}}")
-    return lines
+            if not stack:
+                return roots
+            prefix, indent, level = stack.pop()
+            lines.append(f"{indent}}}")
 
 
 def _event_line(event: EventRegion) -> str:

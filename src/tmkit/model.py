@@ -40,9 +40,9 @@ LEGAL_INTER = {("transfer", "transfer")}
 
 VALUE_TYPES = ("number", "text", "boolean", "reference")
 
-#: How deep thimacs may nest. Every command recurses once per level, and
-#: each handles a file this deep in a fresh interpreter; one level deeper
-#: is the parse error `nesting too deep`.
+#: How deep thimacs may nest, one level deeper being the parse error
+#: `nesting too deep`. No command takes a stack frame per level, so this is
+#: a fixed bound, kept at 981 so that no golden file or test moves.
 MAX_THIMAC_DEPTH = 981
 
 #: A thimac, event or path-part name, which `dsl` lexes as one NAME token

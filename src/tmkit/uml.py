@@ -18,7 +18,8 @@ or lead into one. Both are linear in the number of classes.
 Size. A class d deep in the hierarchy is a thimac d deep, and its
 attributes and methods are d + 1 deep. `class_to_tm` rejects a
 hierarchy whose scaffold would nest deeper than `model.MAX_THIMAC_DEPTH`
-(981), so that `tm check` reads every scaffold: at most 981 classes
+(981, a fixed bound: both directions walk with a stack, not a frame per
+level), so that `tm check` reads every scaffold: at most 981 classes
 deep, 980 if the deepest has an attribute or a method. A scaffold names
 each flow's ends by full path, so its text is O(classes × depth of the
 hierarchy), at most 981 times the linear size.
@@ -80,55 +81,52 @@ class ClassModel:
 # -- TM -> class --
 
 def tm_to_class(static: md.StaticModel) -> ClassModel:
-    """Recover a class model: one class per root thimac, recursing only
-    into specializing subthimacs."""
+    """Recover a class model: one class per root thimac and per specializing
+    subthimac of a class, in preorder, with one iterator per open class."""
+    owned = static.actions_by_owner
     classes: list[ClassDef] = []
     paths: dict[str, str] = {}
-    for thimac in static.thimacs:
-        _classify(thimac, thimac.name, None, classes, paths,
-                  static.actions_by_owner)
+    stack = [(None, "", iter(static.thimacs))]
+    while stack:
+        parent, prefix, level = stack[-1]
+        for thimac in level:
+            path = prefix + thimac.name
+            if thimac.name in paths:
+                raise UmlError(f"class name '{thimac.name}' is used by both "
+                               f"'{paths[thimac.name]}' and '{path}'")
+            paths[thimac.name] = path
+            attributes, methods, subclasses = [], [], []
+            for sub in thimac.subthimacs:
+                sub_path = f"{path}.{sub.name}"
+                if sub.specializes:
+                    subclasses.append(sub)
+                    continue
+                if sub.store is not None:
+                    if sub.subthimacs and all(
+                            _is_action_only(c, f"{sub_path}.{c.name}", owned)
+                            for c in sub.subthimacs):
+                        raise AmbiguousSubthimac(
+                            f"'{sub_path}' has both a store and action-only "
+                            "children; cannot classify")
+                    attributes.append(AttributeDef(
+                        sub.name, md.value_type_of(sub.store.value)))
+                    continue
+                if _is_action_only(sub, sub_path, owned):
+                    methods.append(MethodDef(sub.name))
+                    continue
+                import logging  # here only: it slows every command's start-up
+                logging.getLogger(__name__).warning(
+                    "subthimac '%s' has no store and is not action-only; "
+                    "treating as a reference attribute", sub_path)
+                attributes.append(AttributeDef(sub.name, "reference"))
+            classes.append(ClassDef(thimac.name, tuple(attributes),
+                                    tuple(methods), parent))
+            if subclasses:
+                stack.append((thimac.name, path + ".", iter(subclasses)))
+                break
+        else:
+            stack.pop()
     return ClassModel(tuple(classes))
-
-
-def _classify(thimac: md.Thimac, path: str, parent, classes, paths, owned):
-    """Append the class of `thimac` and of its specializing descendants;
-    `paths` maps each class name taken so far to its thimac's path, and
-    `owned` is the model's `actions_by_owner`."""
-    if thimac.name in paths:
-        raise UmlError(f"class name '{thimac.name}' is used by both "
-                       f"'{paths[thimac.name]}' and '{path}'")
-    paths[thimac.name] = path
-    attributes = []
-    methods = []
-    subclasses = []
-    for sub in thimac.subthimacs:
-        sub_path = f"{path}.{sub.name}"
-        if sub.specializes:
-            subclasses.append(sub)
-            continue
-        if sub.store is not None:
-            if sub.subthimacs and all(
-                    _is_action_only(c, f"{sub_path}.{c.name}", owned)
-                    for c in sub.subthimacs):
-                raise AmbiguousSubthimac(
-                    f"'{sub_path}' has both a store and action-only "
-                    "children; cannot classify")
-            attributes.append(
-                AttributeDef(sub.name, md.value_type_of(sub.store.value)))
-            continue
-        if _is_action_only(sub, sub_path, owned):
-            methods.append(MethodDef(sub.name))
-            continue
-        import logging  # only here: it adds to every command's start-up
-        logging.getLogger(__name__).warning(
-            "subthimac '%s' has no store and is not action-only; "
-            "treating as a reference attribute", sub_path)
-        attributes.append(AttributeDef(sub.name, "reference"))
-    classes.append(ClassDef(thimac.name, tuple(attributes), tuple(methods),
-                            parent))
-    for sub in subclasses:
-        _classify(sub, f"{path}.{sub.name}", thimac.name, classes, paths,
-                  owned)
 
 
 def _is_action_only(thimac: md.Thimac, path: str, owned) -> bool:
@@ -152,57 +150,45 @@ def class_to_tm(cm: ClassModel) -> md.StaticModel:
                 f"class '{cls.name}' extends unknown '{cls.parent}'")
         children.setdefault(cls.parent, []).append(cls)
 
-    # a class d deep nests its attributes and methods d + 1 deep
-    reached: set[str] = set()
-    stack = [(cls, 1) for cls in children.get(None, [])]
-    while stack:
-        cls, depth = stack.pop()
-        if depth + bool(cls.attributes or cls.methods) > md.MAX_THIMAC_DEPTH:
-            raise UmlError("class hierarchy too deep")
-        reached.add(cls.name)
-        stack += [(sub, depth + 1) for sub in children.get(cls.name, [])]
-    for cls in cm.classes:  # all parents are known: a missed class cycles
-        if cls.name not in reached:
-            raise CyclicGeneralization(
-                f"generalization cycle through '{cls.name}'")
-
+    # one walk in preorder checks each class's depth, its members one deeper,
+    # emits its actions and flows, and pairs it with its member thimacs
     actions: list[md.Action] = []
     flows: list[md.FlowEdge] = []
-    roots = tuple(_expand(cls, "", children, actions, flows)
-                  for cls in children.get(None, []))
-    return md.build_model(roots, actions, flows, [])
-
-
-def _expand(cls: ClassDef, prefix: str, children, actions, flows) \
-        -> md.Thimac:
-    """The thimac of `cls` and of its subclasses, whose actions and flows
-    are appended to `actions` and `flows`; `children` maps a class name
-    to its subclasses. A module function, not a closure, so that no cycle
-    keeps the scaffold alive after the call."""
-    path = f"{prefix}.{cls.name}" if prefix else cls.name
-    actions.append(md.Action(path, "create"))
-    subs = [_attribute_thimac(attr, path, actions, flows)
-            for attr in cls.attributes]
-    subs += [_method_thimac(method, path, actions)
-             for method in cls.methods]
-    # a loop, not a comprehension: one frame per level of nesting
-    for sub in children.get(cls.name, []):
-        subs.append(_expand(sub, path, children, actions, flows))
-    return md.Thimac(cls.name, prefix != "", None, tuple(subs))
-
-
-def _attribute_thimac(attr: AttributeDef, prefix, actions, flows):
-    path = f"{prefix}.{attr.name}"
-    actions += [md.Action(path, kind) for kind in md.KIND_ORDER]
-    # each end is `md.action_id(path, kind)`
-    flows += [md.FlowEdge(path + src, path + dst)
-              for src, dst in _ATTRIBUTE_FLOWS]
-    return md.Thimac(attr.name, False, _STORES[attr.value_type])
-
-
-def _method_thimac(method: MethodDef, prefix, actions):
-    actions.append(md.Action(f"{prefix}.{method.name}", "process"))
-    return md.Thimac(method.name)
+    walked: list[tuple[ClassDef, list[md.Thimac]]] = []
+    stack = [(cls, cls.name, 1) for cls in reversed(children.get(None, []))]
+    while stack:
+        cls, path, depth = stack.pop()
+        if depth + bool(cls.attributes or cls.methods) > md.MAX_THIMAC_DEPTH:
+            raise UmlError("class hierarchy too deep")
+        actions.append(md.Action(path, "create"))
+        subs = []
+        for attr in cls.attributes:
+            at = f"{path}.{attr.name}"
+            actions += [md.Action(at, kind) for kind in md.KIND_ORDER]
+            # each end is `md.action_id(at, kind)`
+            flows += [md.FlowEdge(at + src, at + dst)
+                      for src, dst in _ATTRIBUTE_FLOWS]
+            subs.append(md.Thimac(attr.name, False, _STORES[attr.value_type]))
+        for method in cls.methods:
+            actions.append(md.Action(f"{path}.{method.name}", "process"))
+            subs.append(md.Thimac(method.name))
+        walked.append((cls, subs))
+        stack += [(sub, f"{path}.{sub.name}", depth + 1)
+                  for sub in reversed(children.get(cls.name, []))]
+    if len(walked) < len(cm.classes):  # all parents are known: one cycles
+        reached = {cls.name for cls, _ in walked}
+        cls = next(cls for cls in cm.classes if cls.name not in reached)
+        raise CyclicGeneralization(
+            f"generalization cycle through '{cls.name}'")
+    # children first: a class's thimac holds its members, then subclasses
+    built: dict[str, md.Thimac] = {}
+    for cls, subs in reversed(walked):
+        for sub in children.get(cls.name, ()):
+            subs.append(built[sub.name])
+        built[cls.name] = md.Thimac(cls.name, cls.parent is not None, None,
+                                    tuple(subs))
+    return md.build_model(tuple(built[cls.name] for cls in
+                                children.get(None, [])), actions, flows, [])
 
 
 # -- JSON interchange --

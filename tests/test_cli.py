@@ -740,15 +740,20 @@ def test_to_tm_rejects_a_hierarchy_too_deep_to_print(capsys, tmp_path):
         1, "", "error: class hierarchy too deep\n")
 
 
-def test_to_tm_in_process_with_too_little_stack_exits_1(capsys, tmp_path):
-    # a scaffold at the bound fits a fresh interpreter's stack, but not
-    # what is left of it below pytest's own frames
-    path = tmp_path / "chain.json"
+def test_to_tm_in_process_below_pytest_frames_takes_the_bound(capsys,
+                                                              tmp_path):
+    # no command takes a frame per thimac level, so a scaffold at the
+    # bound is written and read below pytest's own frames too
+    path, scaffold = tmp_path / "chain.json", tmp_path / "scaffold.tm"
     path.write_text(json.dumps({"classes": [
         {"name": f"C{i}", "parent": f"C{i - 1}" if i else None}
         for i in range(dsl.MAX_THIMAC_DEPTH)]}))
-    assert run(capsys, "to-tm", str(path)) == (
-        1, "", "error: class hierarchy too deep\n")
+    assert run(capsys, "to-tm", str(path), "--out", str(scaffold)) == \
+        (0, "", "")
+    assert scaffold.read_text().count(" specializes {") == \
+        dsl.MAX_THIMAC_DEPTH - 1
+    code, _, err = run(capsys, "check", str(scaffold))
+    assert (code, err) == (0, "")
 
 
 def _python(*argv, **env):
@@ -805,8 +810,8 @@ def test_no_output_depends_on_the_hash_seed():
 def test_to_tm_accepts_a_deep_to_class_output(tmp_path):
     n = 980
     source = tmp_path / "deep.tm"
-    # the attribute and method sit in the deepest class, where the stack
-    # is deepest; one per class would make the text quadratic in `n`
+    # the attribute and method sit in the deepest class, where the paths
+    # are longest; one per class would make the text quadratic in `n`
     source.write_text("".join(
         f"thimac C{i}{' specializes' if i else ''} {{ create; "
         for i in range(n)) + "thimac a { store = 0; } thimac m { process; } "
@@ -852,14 +857,17 @@ def _nest(depth, inner, member=""):
 
 
 def test_every_command_takes_thimacs_nested_to_the_bound(tmp_path):
-    depth = dsl.MAX_THIMAC_DEPTH
+    depth, parens = dsl.MAX_THIMAC_DEPTH, dsl.MAX_EXPR_DEPTH
     deepest = ".".join(f"C{i}" for i in range(depth - 1))
-    # the deepest thimacs hold what costs each command the most frames; an
-    # attribute in every class would make the scaffold quadratic in depth
+    # the deepest thimacs hold every kind of member, and D an update rule
+    # at the expression bound; an attribute in every class would make the
+    # scaffold quadratic in depth
     source = tmp_path / "deep.tm"
     source.write_text(_nest(depth, (
-        "thimac D { store = 0.00001; create; process; transfer; receive; "
-        "release; } thimac a { store = -1.5; } thimac m { process; } "))
+        f"thimac D {{ store = 0.00001; create; process = {deepest}.D := "
+        + "(" * parens + f"{deepest}.D + 1" + ")" * parens
+        + "; transfer; receive; release; } thimac a { store = -1.5; } "
+        "thimac m { process; } "))
         + f"event E covers {{ {deepest}.D.create }};\n"
         "behavior { }\nterminal E;\n")
     classes, scaffold = tmp_path / "deep.json", tmp_path / "scaffold.tm"
@@ -887,21 +895,6 @@ def test_thimacs_nested_past_the_bound_are_a_parse_error(tmp_path, classes):
         assert result.returncode == 2, command
         assert result.stderr.startswith("parse error: 1:"), command
         assert result.stderr.endswith(": nesting too deep\n"), command
-
-
-def test_an_update_rule_at_the_bound_reads_in_thimacs_nested_600_deep(
-        tmp_path):
-    # the two bounds share one stack: each thimac level and each `(` of
-    # the rule costs the parser frames
-    path = ".".join(f"C{i}" for i in range(599)) + ".D"
-    parens = dsl.MAX_EXPR_DEPTH
-    source = tmp_path / "deep.tm"
-    source.write_text(_nest(600, (
-        f"thimac D {{ store = 0; process = {path} := " + "(" * parens
-        + f"{path} + 1" + ")" * parens + "; } ")))
-    for command in ("check", "fmt", "dot", "to-class"):
-        result = _tm(command, str(source))
-        assert (result.returncode, result.stderr) == (0, ""), command
 
 
 def _deep_expressions(parens=0, nots=0, sums=0, runs=0):
