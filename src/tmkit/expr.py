@@ -127,7 +127,8 @@ def compiled(expr: Expr):
 
     Each function takes what it reads as default arguments, not closure
     cells: on CPython 3.11 that halves the cost of building one, which a
-    rule that runs once per simulation pays in full."""
+    rule that runs once per simulation pays in full. The leaf `path <cmp>
+    literal`, the guard a step tests most, is one function, not three."""
     kind = type(expr)
     if kind is Lit:
         return lambda stores, value=expr.value: value
@@ -154,6 +155,16 @@ def compiled(expr: Expr):
             except TypeError as exc:
                 raise GuardEvalError(f"cannot compare {a!r} with {b!r}") \
                     from exc
+        if type(expr.left) is PathRef and type(expr.right) is Lit:
+            def compare_path(stores, path=expr.left.path, b=expr.right.value,
+                             compare=_CMP.get(expr.op), fail=binary):
+                if (a := stores.get(path, UNSET)) is not UNSET:
+                    try:  # None, an unknown operator, raises TypeError too
+                        return compare(a, b)
+                    except TypeError:
+                        pass
+                return fail(stores)  # which raises as `binary` raises
+            return compare_path
         return binary
 
     def run(stores, first=compiled(expr.first), rest=tuple(

@@ -140,6 +140,12 @@ class StaticModel:
         return {path: t.store
                 for path, t in self.iter_thimacs() if t.store is not None}
 
+    @functools.cached_property
+    def declared_types(self) -> dict[str, str | None]:
+        """Store path -> its value's type; None for `store;`."""
+        return {path: None if store.value is None else value_type_of(
+            store.value) for path, store in self.stores.items()}
+
 
 def _walk(thimacs) -> Iterator[tuple[str, Thimac]]:
     """Yield (dotted path, thimac) in preorder, with no frame per level."""

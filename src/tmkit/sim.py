@@ -20,15 +20,16 @@ may rewrite a store by its update rule.
 
 Cost. A run reads the behavior graph's `incoming` and `successors`
 indexes and builds one `events.covered_edges` index, which also gives
-the events each event's triggers reach. Guards and update rules are
-compiled once per run (`expr.compiled`): an event's gate, its incoming
-edges with compiled guards, on its first candidacy, and its firing
-steps with compiled rules on its first firing, in O(k log k + f log f)
-for its k covered actions and f covered flows. The run keeps a set of
-candidates: the entry events, then only the behavior successors of a
-fired event and the fired events its triggers reach. A run costs
-O(model) once, plus per step the firing region, O(C log C) for the C
-candidates sorted by id and their gates' guard calls.
+the events each event's triggers reach. Each event's plan, what a step
+reads of it, is built once per run, on its first candidacy: its gate
+(incoming edges, guards compiled by `expr.compiled`), whether its
+payload is missing, the repeatable events its triggers reach, and its
+firing steps, rules compiled and idle actions dropped, in O(k log k +
+f log f) for its k covered actions and f covered flows. The candidates
+are the entry events, then only the behavior successors of a fired
+event and the fired events its triggers reach. Per step a run costs the
+O(C log C) sort of its C candidates, their gates' guard calls, the
+firing event's steps and one trace entry.
 """
 
 from __future__ import annotations
@@ -80,11 +81,8 @@ class Trace:
 
 def init_world(static: md.StaticModel, fills=None) -> WorldState:
     """Two-stage instantiation: empty template first, then fill values."""
-    declared = static.stores
-    world = WorldState(
-        dict.fromkeys(declared, ex.UNSET),
-        {path: None if store.value is None else md.value_type_of(store.value)
-         for path, store in declared.items()}, {})
+    world = WorldState(dict.fromkeys(static.stores, ex.UNSET),
+                       dict(static.declared_types), {})
     for path, value in (fills or {}).items():
         _write_store(world, path, value)
     return world
@@ -126,9 +124,7 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
         if behavior.event(eid).input_path is None:
             raise SimError(f"event '{eid}' declares no input")
     covered = covered_edges(static, behavior.events)
-    successors, repeatable = behavior.successors, behavior.repeatable
-    steps: dict[str, tuple] = {}
-    gates: dict[str, tuple] = {}  # id -> (event, ((source, guard), ...))
+    plans: dict[str, tuple] = {}  # event id -> its plan (`_next_enabled`)
     fired: set[str] = set()
     #: repeatable events a trigger has reached since they last fired
     triggered: set[str] = set()
@@ -136,41 +132,53 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     #: a trigger may have enabled; an event leaves only by firing
     candidates = set(behavior.entry_events())
     entries: list[TraceEntry] = []
+    stores, tokens = world.stores, world.tokens
 
     while True:
-        event = _next_enabled(behavior, gates, candidates, fired, inputs,
-                              world)
-        if event is None:
+        plan = _next_enabled(plans, candidates, fired, stores, static,
+                             behavior, covered, inputs)
+        if plan is None:
             terminals = behavior.terminal_events()
             outcome = "Completed" if fired & terminals else "Stuck"
             break
         if len(entries) >= max_steps:
             outcome = "StepBudgetExhausted"
             break
+        event, _, _, others, (order, steps) = plan
         eid = event.id
-        flows, _, reach = covered[eid]
-        if eid not in steps:
-            steps[eid] = _steps(static.actions, event, flows)
-        entries.append(_fire(event, steps[eid], len(entries) + 1, world,
-                             inputs))
+        deltas = [] if event.input_path is None else [
+            _write_store(world, event.input_path, inputs[eid])]
+        for aid, create, sources, update in steps:
+            if create:
+                tokens[aid] = tokens.get(aid, 0) + 1
+            else:
+                for src in sources:
+                    if src in tokens:
+                        tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
+            if update is not None:
+                target, rule = update
+                deltas.append(_write_store(world, target, rule(stores)))
+        entries.append(TraceEntry(len(entries) + 1, eid, order, tuple(deltas)))
         fired.add(eid)
-        triggered |= reach & repeatable
+        triggered |= others
         triggered.discard(eid)
         candidates.discard(eid)
-        candidates.update(nxt for nxt in successors.get(eid, ())
-                          if nxt not in fired or nxt in triggered)
+        for nxt in behavior.successors.get(eid, ()):
+            if nxt not in fired or nxt in triggered:
+                candidates.add(nxt)
         # an unfired event that a trigger reaches joined the candidates
-        # at the start, as an entry, or when a predecessor fired
-        candidates |= reach & triggered & fired
+        # at the start, as an entry, or when a predecessor fired; as
+        # `triggered` holds only repeatables, reach & triggered = others
+        candidates |= others & fired
     return Trace(tuple(entries), outcome)
 
 
 def _steps(actions, event: EventRegion, flows):
-    """(actions in firing order, firing steps) of one event; a step is
-    (action id, is a Create, flow predecessors, (target, compiled rule)
-    or None). The order is the smallest topological order of the
-    covered flows (Kahn's, smallest ready action first), or the sorted
-    covers on a cycle."""
+    """(actions in firing order, firing steps) of one event: (action id,
+    is a Create, flow predecessors but itself, (target, compiled rule)
+    or None) for each action but a non-Create with neither. The order is
+    the smallest topological order of the covered flows (Kahn's, smallest
+    ready action first), or the sorted covers on a cycle."""
     preds: dict[str, list[str]] = {}
     succs: dict[str, list[str]] = {}
     for edge in flows:
@@ -187,66 +195,61 @@ def _steps(actions, event: EventRegion, flows):
             pending[nxt] -= 1
             if not pending[nxt]:
                 heapq.heappush(ready, nxt)
-    if len(order) != len(event.covers):
+    if len(order) != len(event.covers):  # a cycle, as each self-loop is
         order = sorted(event.covers)
+        preds = {aid: [src for src in srcs if src != aid]  # moves nothing
+                 for aid, srcs in preds.items()}
     return tuple(order), tuple(
-        (aid, actions[aid].kind == "create",
-         tuple(preds.get(aid, ())),
-         (update := actions[aid].update)
-         and (update[0], ex.compiled(update[1])))
-        for aid in order)
+        (aid, action.kind == "create", tuple(preds.get(aid, ())),
+         action.update and (action.update[0], ex.compiled(action.update[1])))
+        for aid in order if (action := actions[aid]).kind == "create"
+        or preds.get(aid) or action.update is not None)
 
 
-def _next_enabled(behavior, gates, candidates, fired, inputs, world):
+def _next_enabled(plans, candidates, fired, stores, static, behavior,
+                  covered, inputs):
+    """The plan of the enabled candidate of smallest id, or None. A plan
+    holds what a step reads of an event, fixed for one run, and is built
+    on the event's first candidacy: (the event, its incoming edges as
+    (source, compiled guard or None), whether its payload is missing, the
+    repeatable events but itself that its triggers reach, its `_steps`)."""
     for eid in sorted(candidates):
-        if eid not in gates:
-            gates[eid] = behavior.event(eid), tuple(
+        if eid not in plans:
+            event = behavior.event(eid)
+            flows, _, reach = covered[eid]
+            plans[eid] = (event, tuple(
                 (edge.src, edge.guard and ex.compiled(edge.guard))
-                for edge in behavior.incoming.get(eid, ()))
-        event, edges = gates[eid]
+                for edge in behavior.incoming.get(eid, ())),
+                event.input_path is not None and eid not in inputs,
+                (reach & behavior.repeatable) - {eid},
+                _steps(static.actions, event, flows))
+        _, edges, missing, _, _ = plan = plans[eid]
         if edges:
             for src, guard in edges:
-                if src in fired and (guard is None or guard(world.stores)):
+                if src in fired and (guard is None or guard(stores)):
                     break
             else:
                 continue
-            if event.input_path is not None and eid not in inputs:
+            if missing:
                 raise MissingInput(f"event '{eid}' needs an input payload")
-        elif event.input_path is not None and eid not in inputs:
+        elif missing:
             continue  # an entry event without its payload never starts
-        return event
+        return plan
     return None
-
-
-def _fire(event: EventRegion, plan, step: int, world: WorldState,
-          inputs) -> TraceEntry:
-    deltas: list[StoreDelta] = []
-    if event.input_path is not None:
-        deltas.append(_write_store(world, event.input_path, inputs[event.id]))
-
-    order, steps = plan
-    tokens = world.tokens
-    for aid, create, preds, update in steps:
-        if create:
-            tokens[aid] = tokens.get(aid, 0) + 1
-        else:
-            for src in preds:
-                if src != aid and src in tokens:
-                    tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
-        if update is not None:
-            target, rule = update
-            deltas.append(_write_store(world, target, rule(world.stores)))
-    return TraceEntry(step, event.id, order, tuple(deltas))
 
 
 # -- trace serialization --
 
 def trace_to_text(trace: Trace) -> str:
-    return "".join(
-        f"{e.step}\t{e.event}\tfired:{','.join(e.actions_fired)}\tdeltas:"
-        + ";".join(f"{d.path}={scalar(d.old, 'unset')}→"
-                   f"{scalar(d.new, 'unset')}" for d in e.deltas) + "\n"
-        for e in trace.entries)
+    parts = []
+    for e in trace.entries:
+        parts.append(f"{e.step}\t{e.event}\tfired:"
+                     f"{','.join(e.actions_fired)}\tdeltas:")
+        for i, d in enumerate(e.deltas):
+            parts.append(f"{';' if i else ''}{d.path}="
+                         f"{scalar(d.old, 'unset')}→{scalar(d.new, 'unset')}")
+        parts.append("\n")
+    return "".join(parts)
 
 
 def trace_to_json(trace: Trace) -> str:

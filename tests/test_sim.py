@@ -1,8 +1,10 @@
+import heapq
 import json
 import random
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,12 @@ from tmkit import dsl, errors, sim
 from tmkit import expr as ex
 from tmkit import model as md
 from tmkit._json import scalar
-from tmkit.events import build_behavior, covered_edges, eventize
-from tmkit.expr import UNSET, Binary, Lit, PathRef
+from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
+                          covered_edges, eventize)
+from tmkit.expr import UNSET, Binary, Lit, PathRef, Unary, chain
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 BOB = {"Human.name": "Bob", "Human.weight": 150, "Human.gender": "male"}
@@ -533,3 +539,307 @@ def test_trace_writers_match_json_dumps(trace):
         + ";".join(f"{d.path}={shown(d.old)}→{shown(d.new)}"
                    for d in e.deltas) + "\n"
         for e in trace.entries)
+
+
+def test_events_that_fire_the_same_actions_keep_their_own_names():
+    # `trace_to_json` writes each distinct list of fired actions once; two
+    # events that fire the same actions must still name their own entries
+    static, _, behavior = dsl.parse(
+        "thimac T { create; process; }\n"
+        "flow T.create -> T.process;\n"
+        "event A covers { T.create, T.process };\n"
+        "event B covers { T.process, T.create };\n"
+        "behavior { A -> B; }\n")
+    trace = sim.simulate(static, behavior, sim.init_world(static))
+    assert [e.actions_fired for e in trace.entries] == \
+        [("T.create", "T.process")] * 2
+    assert sim.trace_to_text(trace).splitlines() == [
+        "1\tA\tfired:T.create,T.process\tdeltas:",
+        "2\tB\tfired:T.create,T.process\tdeltas:"]
+    assert [e["event"] for e in json.loads(sim.trace_to_json(trace))] == \
+        ["A", "B"]
+
+
+# -- work counted per run --
+
+def _counted_run(monkeypatch, k):
+    """(calls of `expr.compiled` from `sim`, `_steps` builds, calls of
+    compiled guards, value types computed by a second `init_world`) of
+    one run of the loop workload at size `k`."""
+    wl = gen.build("loop", 1, k)
+    static, _, behavior = dsl.parse(wl.source)
+    assert "declared_types" not in vars(static)  # parsing does not type
+    guards = {id(edge.guard) for edge in behavior.edges if edge.guard}
+    counts = dict.fromkeys(["compiled", "plans", "guard calls", "types"], 0)
+
+    def compiled(expr):
+        counts["compiled"] += 1
+        function = ex.compiled(expr)
+        if id(expr) not in guards:
+            return function
+
+        def guard(stores):
+            counts["guard calls"] += 1
+            return function(stores)
+        return guard
+
+    def steps(*args):  # once per plan
+        counts["plans"] += 1
+        return build_steps(*args)
+
+    def value_type_of(value):
+        counts["types"] += 1
+        return typed(value)
+
+    build_steps, typed = sim._steps, md.value_type_of
+    sim.init_world(static, wl.fills)
+    monkeypatch.setattr(md, "value_type_of", value_type_of)
+    world = sim.init_world(static, wl.fills)
+    counts["types"] -= len(wl.fills)  # each fill is typed as it is written
+    monkeypatch.setattr(md, "value_type_of", typed)
+    monkeypatch.setattr(sim, "ex", SimpleNamespace(**{**vars(ex),
+                                                      "compiled": compiled}))
+    monkeypatch.setattr(sim, "_steps", steps)
+    trace = sim.simulate(static, behavior, world)
+    monkeypatch.undo()
+    assert trace.outcome == "Completed"
+    return counts
+
+
+def test_a_run_compiles_and_plans_each_event_once(monkeypatch):
+    small, large = (_counted_run(monkeypatch, k) for k in (50, 200))
+    assert small["compiled"] == large["compiled"] > 0
+    assert small["plans"] == large["plans"] == 13
+    assert small["types"] == large["types"] == 0
+    # the trace is about 4 times as long, and no step tests more guards
+    assert 0 < large["guard calls"] <= 4.2 * small["guard calls"]
+
+
+# -- the simulator before per-event plans, as an oracle --
+
+def _oracle_init_world(static, fills=None):
+    declared = static.stores
+    world = sim.WorldState(
+        dict.fromkeys(declared, ex.UNSET),
+        {path: None if store.value is None else md.value_type_of(store.value)
+         for path, store in declared.items()}, {})
+    for path, value in (fills or {}).items():
+        sim._write_store(world, path, value)
+    return world
+
+
+def _oracle_simulate(static, behavior, world, inputs=None,
+                     max_steps=sim.DEFAULT_MAX_STEPS):
+    """The simulator that per-event plans replaced, with `init_world`
+    above: the oracle of the property below for one change, then
+    deleted."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    inputs = inputs or {}
+    for eid in inputs:
+        if behavior.event(eid).input_path is None:
+            raise errors.SimError(f"event '{eid}' declares no input")
+    covered = covered_edges(static, behavior.events)
+    successors, repeatable = behavior.successors, behavior.repeatable
+    steps = {}
+    gates = {}
+    fired = set()
+    triggered = set()
+    candidates = set(behavior.entry_events())
+    entries = []
+    while True:
+        event = _oracle_next_enabled(behavior, gates, candidates, fired,
+                                     inputs, world)
+        if event is None:
+            terminals = behavior.terminal_events()
+            outcome = "Completed" if fired & terminals else "Stuck"
+            break
+        if len(entries) >= max_steps:
+            outcome = "StepBudgetExhausted"
+            break
+        eid = event.id
+        flows, _, reach = covered[eid]
+        if eid not in steps:
+            steps[eid] = _oracle_steps(static.actions, event, flows)
+        entries.append(_oracle_fire(event, steps[eid], len(entries) + 1,
+                                    world, inputs))
+        fired.add(eid)
+        triggered |= reach & repeatable
+        triggered.discard(eid)
+        candidates.discard(eid)
+        candidates.update(nxt for nxt in successors.get(eid, ())
+                          if nxt not in fired or nxt in triggered)
+        candidates |= reach & triggered & fired
+    return sim.Trace(tuple(entries), outcome)
+
+
+def _oracle_steps(actions, event, flows):
+    preds = {}
+    succs = {}
+    for edge in flows:
+        preds.setdefault(edge.dst, []).append(edge.src)
+        succs.setdefault(edge.src, []).append(edge.dst)
+    pending = {aid: len(srcs) for aid, srcs in preds.items()}
+    ready = [aid for aid in event.covers if aid not in pending]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        aid = heapq.heappop(ready)
+        order.append(aid)
+        for nxt in succs.get(aid, ()):
+            pending[nxt] -= 1
+            if not pending[nxt]:
+                heapq.heappush(ready, nxt)
+    if len(order) != len(event.covers):
+        order = sorted(event.covers)
+    return tuple(order), tuple(
+        (aid, actions[aid].kind == "create",
+         tuple(preds.get(aid, ())),
+         (update := actions[aid].update)
+         and (update[0], ex.compiled(update[1])))
+        for aid in order)
+
+
+def _oracle_next_enabled(behavior, gates, candidates, fired, inputs, world):
+    for eid in sorted(candidates):
+        if eid not in gates:
+            gates[eid] = behavior.event(eid), tuple(
+                (edge.src, edge.guard and ex.compiled(edge.guard))
+                for edge in behavior.incoming.get(eid, ()))
+        event, edges = gates[eid]
+        if edges:
+            for src, guard in edges:
+                if src in fired and (guard is None or guard(world.stores)):
+                    break
+            else:
+                continue
+            if event.input_path is not None and eid not in inputs:
+                raise errors.MissingInput(
+                    f"event '{eid}' needs an input payload")
+        elif event.input_path is not None and eid not in inputs:
+            continue
+        return event
+    return None
+
+
+def _oracle_fire(event, plan, step, world, inputs):
+    deltas = []
+    if event.input_path is not None:
+        deltas.append(sim._write_store(world, event.input_path,
+                                       inputs[event.id]))
+    order, steps = plan
+    tokens = world.tokens
+    for aid, create, preds, update in steps:
+        if create:
+            tokens[aid] = tokens.get(aid, 0) + 1
+        else:
+            for src in preds:
+                if src != aid and src in tokens:
+                    tokens[aid] = tokens.get(aid, 0) + tokens.pop(src)
+        if update is not None:
+            target, rule = update
+            deltas.append(sim._write_store(world, target, rule(world.stores)))
+    return sim.TraceEntry(step, event.id, order, tuple(deltas))
+
+
+#: mostly numbers, so that most runs get past their first writes
+_VALUES = st.sampled_from([0, 1, 2, 3, -1, 0.5, "a", True])
+_SAME_TYPE = {int: [0, 1, 2, -1, 0.5], str: ["a", "b"], bool: [True, False],
+              type(None): [0, 1, "a", True]}
+#: true one time in ten, and false for the examples hypothesis tries first
+_ODD = st.integers(0, 9).map(lambda n: n == 9)
+
+
+@st.composite
+def _runs_to_compare(draw):
+    """A static model in the style of `test_events.covered_models`, with
+    flows, triggers and self-loops, stores of each type and update rules;
+    events with random covers, one per trigger, and inputs; a chronology
+    with guards, cycles and self-loops; fills, payloads and a budget. A
+    path is mostly a store's, sometimes `Nope`, which no store has."""
+    thimacs = [md.Thimac(f"T{i}", store=draw(st.sampled_from(
+        [md.Store(0), md.Store(0), md.Store("a"), md.Store(True), md.Store(),
+         None]))) for i in range(draw(st.integers(1, 3)))]
+    stored = [t.name for t in thimacs if t.store is not None]
+    paths = st.sampled_from(stored * 8 + ["Nope"])
+    # a rule writes to a store, and an event's payload mostly goes to one
+    targets = st.sampled_from(stored) if stored else st.nothing()
+    leaf = st.builds(Binary, st.sampled_from([*ex._CMP, "^"]),
+                     st.builds(PathRef, paths), st.builds(Lit, _VALUES))
+    guard = st.one_of(
+        leaf, leaf.map(lambda b: Binary(b.op, b.right, b.left)),
+        st.builds(Unary, st.just("not"), leaf),
+        st.builds(lambda a, op, b: chain(a, [(op, b)]), leaf,
+                  st.sampled_from(["and", "or"]), leaf))
+    rule = st.one_of(
+        st.builds(Lit, _VALUES), st.builds(PathRef, paths),
+        st.builds(lambda p, op, v: chain(PathRef(p), [(op, Lit(v))]),
+                  paths, st.sampled_from(["+", "-"]), _VALUES))
+    actions = [md.Action(t.name, kind, draw(st.one_of(
+        st.none(), st.none(), st.tuples(targets, rule))))
+        for t in thimacs for kind in draw(st.sets(
+            st.sampled_from(md.KIND_ORDER), min_size=1))]
+    ids = [a.id for a in actions]
+    # any pair, a legal flow inside a thimac, or a self-loop
+    legal = [(a.id, b.id) for a in actions for b in actions
+             if a.owner == b.owner and (a.kind, b.kind) in md.LEGAL_INTRA]
+    pairs = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+        st.sampled_from(legal) if legal else st.nothing(),
+        st.sampled_from(ids).map(lambda aid: (aid, aid))),
+        unique=True, max_size=12))
+    kinds = draw(st.lists(st.booleans(), min_size=len(pairs),
+                          max_size=len(pairs)))
+    triggers = [md.TriggerEdge(*p) for p, trigger in zip(pairs, kinds)
+                if trigger]
+    # self-loops last, so that an action may hold tokens when it reads one
+    flows = sorted((md.FlowEdge(*p) for p, trigger in zip(pairs, kinds)
+                    if not trigger), key=lambda edge: edge.src == edge.dst)
+    static = md.build_model(thimacs, actions, flows, triggers)
+    covers = draw(st.lists(st.one_of(
+        st.sets(st.sampled_from(ids), min_size=1), st.just(set(ids))),
+        min_size=1, max_size=6))
+    covers += [{edge.src, edge.dst} for edge in triggers]
+    events = [EventRegion(f"E{i}", "", frozenset(c), draw(st.one_of(
+        st.none(), st.none(), paths))) for i, c in enumerate(covers)]
+    eids = [e.id for e in events]
+    edges = draw(st.lists(st.builds(
+        BehaviorEdge, st.sampled_from(eids), st.sampled_from(eids),
+        st.one_of(st.none(), guard)), max_size=10))
+    behavior = build_behavior(
+        events, edges, draw(st.sets(st.sampled_from(eids))),
+        draw(st.one_of(st.just(eids), st.sets(st.sampled_from(eids)))))
+    # a fill of its store's type for most stores, a payload for most
+    # events that take one; one in ten of each is any value, or is for
+    # a path or event that takes none
+    fills = {path: draw(_VALUES) if draw(_ODD) else draw(
+        st.sampled_from(_SAME_TYPE[type(static.stores[path].value)]))
+        for path in stored if not draw(_ODD)}
+    if draw(_ODD):
+        fills["Nope"] = 1
+    inputs = {e.id: draw(_VALUES) for e in events
+              if e.input_path is not None and not draw(_ODD)}
+    if draw(_ODD):
+        inputs[draw(st.sampled_from(eids))] = 1
+    return static, behavior, fills, inputs, draw(st.sampled_from(
+        [12, 1, 2, 3, 5, 8]))
+
+
+def _run(init_world, simulate, case):
+    """(entries, outcome, stores, tokens, declared types), or (type,
+    message) of the error, of one run."""
+    static, behavior, fills, inputs, max_steps = case
+    try:
+        world = init_world(static, fills)
+        trace = simulate(static, behavior, world, inputs, max_steps)
+    except Exception as exc:  # noqa: BLE001 -- any error must match
+        return type(exc), str(exc)
+    return (trace.entries, trace.outcome, world.stores, world.tokens,
+            world.declared_types)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_to_compare())
+def test_simulate_matches_the_simulator_before_plans(case):
+    assert _run(sim.init_world, sim.simulate, case) == \
+        _run(_oracle_init_world, _oracle_simulate, case)
