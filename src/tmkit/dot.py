@@ -33,36 +33,23 @@ def _emit_static(static: md.StaticModel, opts: RenderOptions) -> str:
     lines = ["digraph tm {", f"  rankdir={opts.rankdir};",
              "  compound=true;"]
     owned = static.actions_by_owner
-    # the open level's iterator, path and indent, pushed as a cluster opens
-    stack = []
-    prefix, indent, level = "", "  ", iter(static.thimacs)
-    while True:
-        for thimac in level:
-            path = prefix + thimac.name
-            lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
-            label = thimac.name + (" (specializes)" if thimac.specializes
-                                   else "")
-            lines.append(f"{indent}  label={_quote(label)};")
-            for action in owned.get(path, ()):
-                lines.append(f"{indent}  {_quote(action.id)} "
-                             f"[label={_quote(action.kind.capitalize())}];")
-            if opts.show_stores and thimac.store is not None:
-                value = thimac.store.value
-                label = ("store" if value is None
-                         else f"store = {ex._lit_text(value)}")
-                lines.append(f"{indent}  {_quote(path + '.store')} "
-                             f"[shape=cylinder, label={_quote(label)}];")
-            if thimac.subthimacs:
-                stack.append((prefix, indent, level))
-                prefix, indent = path + ".", indent + "  "
-                level = iter(thimac.subthimacs)
-                break
+    for path, thimac, depth in md._walk(static.thimacs):
+        indent = "  " * (depth + 1)
+        if thimac is None:
             lines.append(f"{indent}}}")
-        else:
-            if not stack:
-                break
-            prefix, indent, level = stack.pop()
-            lines.append(f"{indent}}}")
+            continue
+        lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
+        label = thimac.name + (" (specializes)" if thimac.specializes else "")
+        lines.append(f"{indent}  label={_quote(label)};")
+        for action in owned.get(path, ()):
+            lines.append(f"{indent}  {_quote(action.id)} "
+                         f"[label={_quote(action.kind.capitalize())}];")
+        if opts.show_stores and thimac.store is not None:
+            value = thimac.store.value
+            label = ("store" if value is None
+                     else f"store = {ex._lit_text(value)}")
+            lines.append(f"{indent}  {_quote(path + '.store')} "
+                         f"[shape=cylinder, label={_quote(label)}];")
     for edge in static.flows:
         lines.append(f"  {_quote(edge.src)} -> {_quote(edge.dst)};")
     for edge in static.triggers:

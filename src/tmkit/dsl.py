@@ -526,12 +526,11 @@ def parse(src) -> tuple[md.StaticModel, list[EventRegion],
 def print_text(static: md.StaticModel, events=(), behavior=None) -> str:
     """Emit the canonical DSL text of `canonicalize(static)`, with no sort
     of the whole action table; deterministic and parse-stable."""
-    blocks = ["\n".join(lines) for lines in
-              _thimac_lines(static.thimacs, static.actions_by_owner)]
-    sections = (_edge_lines("flow", "->", static.flows),
+    sections = (_thimac_lines(static.thimacs, static.actions_by_owner),
+                _edge_lines("flow", "->", static.flows),
                 _edge_lines("trigger", "-->", static.triggers),
                 [_event_line(ev) for ev in events])
-    blocks += ["\n".join(lines) for lines in sections if lines]
+    blocks = ["\n".join(lines) for lines in sections if lines]
     if behavior is not None:
         blocks.append(_behavior_block(behavior))
         for keyword, names in (("terminal", behavior.terminals),
@@ -549,46 +548,32 @@ def _edge_lines(keyword, arrow, edges):
         [f"{keyword} {e.src} {arrow} {e.dst}" for e in edges])]
 
 
-def _kind_rank(action: md.Action) -> int:
-    return _KIND_RANK[action.kind]
-
-
 def _thimac_lines(thimacs, owned):
-    """The lines of each of `thimacs`, one list per root. The iterator of
-    the open level, its path and indent, is pushed when a subthimac opens."""
-    roots, stack = [], []
-    prefix, indent, level = "", "", iter(thimacs)
-    while True:
-        for thimac in level:
-            if not prefix:
-                lines = []
-                roots.append(lines)
-            path = prefix + thimac.name
-            lines.append(f"{indent}thimac {thimac.name}"
-                         + (" specializes {" if thimac.specializes else " {"))
-            inner = indent + "    "
-            if thimac.store is not None:
-                value = thimac.store.value
-                lines.append(f"{inner}store;" if value is None
-                             else f"{inner}store = {ex._lit_text(value)};")
-            for action in sorted(owned.get(path, ()), key=_kind_rank):
-                if action.update is not None:
-                    target, rule = action.update
-                    lines.append(f"{inner}{action.kind} = {target} := "
-                                 f"{ex.to_text(rule, ex.SUM)};")
-                else:
-                    lines.append(f"{inner}{action.kind};")
-            if thimac.subthimacs:
-                stack.append((prefix, indent, level))
-                prefix, indent = path + ".", inner
-                level = iter(thimac.subthimacs)
-                break
+    """The lines of `thimacs`, with a blank line between two roots."""
+    lines = []
+    for path, thimac, depth in md._walk(thimacs):
+        indent = "    " * depth
+        if thimac is None:
             lines.append(f"{indent}}}")
-        else:
-            if not stack:
-                return roots
-            prefix, indent, level = stack.pop()
-            lines.append(f"{indent}}}")
+            continue
+        if lines and not depth:
+            lines.append("")
+        lines.append(f"{indent}thimac {thimac.name}"
+                     + (" specializes {" if thimac.specializes else " {"))
+        inner = indent + "    "
+        if thimac.store is not None:
+            value = thimac.store.value
+            lines.append(f"{inner}store;" if value is None
+                         else f"{inner}store = {ex._lit_text(value)};")
+        for action in sorted(owned.get(path, ()),
+                             key=lambda a: _KIND_RANK[a.kind]):
+            if action.update is not None:
+                target, rule = action.update
+                lines.append(f"{inner}{action.kind} = {target} := "
+                             f"{ex.to_text(rule, ex.SUM)};")
+            else:
+                lines.append(f"{inner}{action.kind};")
+    return lines
 
 
 def _event_line(event: EventRegion) -> str:

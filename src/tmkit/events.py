@@ -25,7 +25,7 @@ from ._record import record
 from .errors import (DuplicateEventId, EmptyCover, ModelError,
                      UnknownActionPath, UnknownEvent)
 from .model import (FlowEdge, StaticModel, TriggerEdge, ValidationReport,
-                    is_name)
+                    is_name, is_path)
 
 _NONE: frozenset[str] = frozenset()
 
@@ -103,6 +103,9 @@ def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
         if path not in model.actions:
             raise UnknownActionPath(
                 f"event '{event_id}' covers unknown action '{path}'")
+    if input_path is not None and not is_path(input_path):
+        raise ModelError(f"event '{event_id}' input path {input_path!r} "
+                         "is not a .tm path")
     return EventRegion(event_id, label, frozenset(paths), input_path)
 
 
@@ -165,6 +168,9 @@ def build_behavior(events, edges, terminals=(), repeatable=()) \
             if endpoint not in ids:
                 raise UnknownEvent(
                     f"behavior edge references unknown event '{endpoint}'")
+        if bad := [p for p in ex.paths_in(edge.guard) if not is_path(p)]:
+            raise ModelError(f"guard on {edge.src} -> {edge.dst} reads "
+                             f"{min(bad)!r}, which is not a .tm path")
     for name in list(terminals) + list(repeatable):
         if name not in ids:
             raise UnknownEvent(f"declaration references unknown event "

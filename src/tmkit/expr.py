@@ -99,7 +99,7 @@ def chain(first: Expr, rest) -> Expr:
 
 
 def paths_in(expr: Expr) -> set[str]:
-    """All store paths referenced by the expression."""
+    """All store paths the expression reads; an empty set for None."""
     kind = type(expr)
     if kind is PathRef:
         return {expr.path}
@@ -108,8 +108,10 @@ def paths_in(expr: Expr) -> set[str]:
     if kind is Binary:
         return paths_in(expr.left) | paths_in(expr.right)
     if kind is Chain:
-        return paths_in(expr.first).union(
-            *(paths_in(operand) for _, operand in expr.rest))
+        paths = paths_in(expr.first)  # a new set, as every call returns
+        for _, operand in expr.rest:
+            paths |= paths_in(operand)
+        return paths
     return set()
 
 
@@ -204,8 +206,9 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
     `a - (b - c)`, `(a < b) = c` and `not (a or b)`. So the text nests
     `(` and `not` no deeper than any text that parses to the same tree.
     ModelError for a literal of no value type, an operator its node lacks,
-    a path headed by a `BOOLEANS` word, and one headed `not` where `lead`,
-    the binding the text starts at, reads `not` as the keyword: `not = 1`.
+    a Chain whose first operand is a Chain of its run, a path headed by a
+    `BOOLEANS` word, and one headed `not` where `lead`, the binding the
+    text starts at, reads `not` as the keyword: `not = 1`.
     """
     lead = loosest if lead is None else lead
     kind = type(expr)
@@ -231,6 +234,9 @@ def to_text(expr: Expr, loosest: int = OR, lead: int | None = None) -> str:
         text = (f"{to_text(expr.left, SUM, first_lead)} {expr.op} "
                 f"{to_text(expr.right, SUM)}")
     else:
+        if type(expr.first) is Chain and binding == BINDING.get(
+                expr.first.rest and expr.first.rest[0][0]):  # see `chain`
+            raise ModelError("Chain nested first in its run cannot be written")
         parts = [to_text(expr.first, binding, first_lead)]
         for op, operand in expr.rest:
             if BINDING.get(op) != binding:

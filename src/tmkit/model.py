@@ -94,6 +94,11 @@ def is_name(text: str) -> bool:
             and _NAME_RE.fullmatch(text) is not None)
 
 
+def is_path(text: str) -> bool:
+    """Whether `text` is a path `.tm` text writes: dot-separated names."""
+    return all(map(is_name, text.split(".")))
+
+
 @record
 class FlowEdge:
     src: str
@@ -122,7 +127,7 @@ class StaticModel:
     triggers: tuple[TriggerEdge, ...]
 
     def iter_thimacs(self) -> Iterator[tuple[str, Thimac]]:
-        return _walk(self.thimacs)
+        return ((p, t) for p, t, _ in _walk(self.thimacs) if t is not None)
 
     @functools.cached_property
     def actions_by_owner(self) -> dict[str, list[Action]]:
@@ -147,19 +152,25 @@ class StaticModel:
             store.value) for path, store in self.stores.items()}
 
 
-def _walk(thimacs) -> Iterator[tuple[str, Thimac]]:
-    """Yield (dotted path, thimac) in preorder, with no frame per level."""
+def _walk(thimacs) -> Iterator[tuple[str, Thimac | None, int]]:
+    """The one walk of the thimac tree, with no frame per level: yield
+    (dotted path, thimac, depth) as a thimac opens, in preorder, and
+    (path, None, depth) as it closes, after its subthimacs."""
     stack = [("", iter(thimacs))]
     while stack:
         prefix, level = stack[-1]
+        depth = len(stack) - 1
         for t in level:
             path = prefix + t.name
-            yield path, t
+            yield path, t, depth
             if t.subthimacs:
                 stack.append((path + ".", iter(t.subthimacs)))
                 break
+            yield path, None, depth
         else:
             stack.pop()
+            if prefix:
+                yield prefix[:-1], None, depth - 1
 
 
 @record
@@ -202,7 +213,9 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
     # in preorder, the first repeated path is the first duplicate sibling
     paths = set()
     stores = {}
-    for path, thimac in _walk(thimacs):
+    for path, thimac, _ in _walk(thimacs):
+        if thimac is None:
+            continue
         if not is_name(thimac.name):
             raise ModelError(f"thimac name {thimac.name!r} is not a .tm name")
         if path in paths:
@@ -225,6 +238,12 @@ def build_model(thimacs, actions, flows, triggers) -> StaticModel:
         if owner not in paths:
             raise UnknownPath(
                 f"action '{aid}' owner '{owner}' does not exist")
+        if action.update is not None:
+            target, rule = action.update  # a store path is made of names
+            for path in (target, *sorted(ex.paths_in(rule))):
+                if path not in stores and not is_path(path):
+                    raise ModelError(f"action '{aid}' update path {path!r} "
+                                     "is not a .tm path")
         table[aid] = action
 
     flow_pairs = set()

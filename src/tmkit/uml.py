@@ -82,50 +82,46 @@ class ClassModel:
 
 def tm_to_class(static: md.StaticModel) -> ClassModel:
     """Recover a class model: one class per root thimac and per specializing
-    subthimac of a class, in preorder, with one iterator per open class."""
+    subthimac of a class, in the preorder of `model._walk`."""
     owned = static.actions_by_owner
     classes: list[ClassDef] = []
-    paths: dict[str, str] = {}
-    stack = [(None, "", iter(static.thimacs))]
-    while stack:
-        parent, prefix, level = stack[-1]
-        for thimac in level:
-            path = prefix + thimac.name
-            if thimac.name in paths:
-                raise UmlError(f"class name '{thimac.name}' is used by both "
-                               f"'{paths[thimac.name]}' and '{path}'")
-            paths[thimac.name] = path
-            attributes, methods, subclasses = [], [], []
-            for sub in thimac.subthimacs:
-                sub_path = f"{path}.{sub.name}"
-                if sub.specializes:
-                    subclasses.append(sub)
-                    continue
-                if sub.store is not None:
-                    if sub.subthimacs and all(
-                            _is_action_only(c, f"{sub_path}.{c.name}", owned)
-                            for c in sub.subthimacs):
-                        raise AmbiguousSubthimac(
-                            f"'{sub_path}' has both a store and action-only "
-                            "children; cannot classify")
-                    attributes.append(AttributeDef(
-                        sub.name, md.value_type_of(sub.store.value)))
-                    continue
-                if _is_action_only(sub, sub_path, owned):
-                    methods.append(MethodDef(sub.name))
-                    continue
-                import logging  # here only: it slows every command's start-up
-                logging.getLogger(__name__).warning(
-                    "subthimac '%s' has no store and is not action-only; "
-                    "treating as a reference attribute", sub_path)
-                attributes.append(AttributeDef(sub.name, "reference"))
-            classes.append(ClassDef(thimac.name, tuple(attributes),
-                                    tuple(methods), parent))
-            if subclasses:
-                stack.append((thimac.name, path + ".", iter(subclasses)))
-                break
-        else:
-            stack.pop()
+    paths: dict[str, str] = {}  # class name -> its thimac's path
+    for path, thimac, depth in md._walk(static.thimacs):
+        if thimac is None or depth and not thimac.specializes:
+            continue
+        prefix = path.rpartition(".")[0]
+        parent = prefix.rpartition(".")[2] if depth else None
+        if depth and paths.get(parent) != prefix:
+            continue  # the enclosing thimac is no class
+        if thimac.name in paths:
+            raise UmlError(f"class name '{thimac.name}' is used by both "
+                           f"'{paths[thimac.name]}' and '{path}'")
+        paths[thimac.name] = path
+        attributes, methods = [], []
+        for sub in thimac.subthimacs:
+            sub_path = f"{path}.{sub.name}"
+            if sub.specializes:
+                continue
+            if sub.store is not None:
+                if sub.subthimacs and all(
+                        _is_action_only(c, f"{sub_path}.{c.name}", owned)
+                        for c in sub.subthimacs):
+                    raise AmbiguousSubthimac(
+                        f"'{sub_path}' has both a store and action-only "
+                        "children; cannot classify")
+                attributes.append(AttributeDef(
+                    sub.name, md.value_type_of(sub.store.value)))
+                continue
+            if _is_action_only(sub, sub_path, owned):
+                methods.append(MethodDef(sub.name))
+                continue
+            import logging  # here only: it slows every command's start-up
+            logging.getLogger(__name__).warning(
+                "subthimac '%s' has no store and is not action-only; "
+                "treating as a reference attribute", sub_path)
+            attributes.append(AttributeDef(sub.name, "reference"))
+        classes.append(ClassDef(thimac.name, tuple(attributes),
+                                tuple(methods), parent))
     return ClassModel(tuple(classes))
 
 

@@ -1020,11 +1020,14 @@ def test_simulate_bank_withdrawal(capsys, bank_path):
      "--world", "BankAccount.SavingsAccount=withdrawal",
      "--world", "BankAccount.balance=100", "--input", "E9:150"],
     ["fmt"],
+    ["dot"],
+    ["to-class"],
 ])
 def test_a_command_walks_the_thimac_tree_once(capsys, monkeypatch,
                                               bank_path, argv):
     """`build_model` walks once and fills the store index in that walk;
-    the checks and `init_world` read the index."""
+    the checks and `init_world` read the index. `fmt`, `dot` and
+    `to-class` walk once more, to write their output."""
     from tmkit import model
     calls = []
 
@@ -1036,7 +1039,7 @@ def test_a_command_walks_the_thimac_tree_once(capsys, monkeypatch,
     monkeypatch.setattr(model, "_walk", counted)
     code, _, err = run(capsys, argv[0], bank_path, *argv[1:])
     assert (code, err) == (0, "")
-    assert len(calls) == 1
+    assert len(calls) == (1 if argv[0] in ("check", "simulate") else 2)
 
 
 def test_simulate_beef_sequence(capsys, beef_path):

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmkit import dsl, errors, expr as ex
+from tmkit import dsl, errors, expr as ex, model as md
 from tmkit.errors import GuardEvalError
 from tmkit.events import BehaviorEdge
 from tmkit.expr import (UNSET, Binary, Chain, Lit, PathRef, Unary, chain,
@@ -124,6 +124,28 @@ def test_to_text_refuses_a_path_that_would_read_as_a_keyword(expr):
     # `true + 1` would read back as a literal, `not = 1` as no expression
     with pytest.raises(errors.ModelError, match="cannot be written"):
         to_text(expr)
+
+
+@pytest.mark.parametrize("op, other", [("+", "-"), ("and", "and"),
+                                       ("or", "or")])
+def test_to_text_refuses_a_chain_first_in_a_chain_of_its_run(op, other):
+    # `chain` flattens `(A + 1) + 2` as it parses, so no text reads back as
+    # this tree; a run of another binding first is written in parentheses
+    nested = Chain(Chain(PathRef("A"), ((op, Lit(1)),)), ((other, Lit(2)),))
+    with pytest.raises(errors.ModelError, match="cannot be written"):
+        to_text(nested)
+    mixed = Chain(Chain(PathRef("A"), (("or", Lit(1)),)), (("and", Lit(2)),))
+    assert to_text(mixed) == "(A or 1) and 2"
+    assert _guard(to_text(mixed)) == mixed
+
+
+def test_print_text_refuses_a_rule_that_reads_back_as_another_tree():
+    # the first operand of `A + 1 + 2` is itself the run `A + 1`
+    rule = Chain(Chain(PathRef("A"), (("+", Lit(1)),)), (("+", Lit(2)),))
+    static = md.build_model([md.Thimac("A", store=md.Store(0))],
+                            [md.Action("A", "process", ("A", rule))], [], [])
+    with pytest.raises(errors.ModelError, match="cannot be written"):
+        dsl.print_text(static)
 
 
 @pytest.mark.parametrize("path", ["truex", "A.true", "nota.b", "A.not",

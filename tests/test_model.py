@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmkit import corpus, dsl, errors, expr as ex, model as md
+from tmkit.events import BehaviorEdge, build_behavior, eventize
 from tmkit.model import (KIND_ORDER, Action, FlowEdge, StaticModel, Thimac,
                          TriggerEdge, build_model, canonicalize,
                          validate_static)
@@ -35,6 +36,36 @@ def test_thimac_names_are_checked_at_every_depth(name):
         with pytest.raises(errors.ModelError) as exc:
             build_model(thimacs, [], [], [])
         assert str(exc.value) == f"thimac name {name!r} is not a .tm name"
+
+
+def test_a_path_that_is_no_tm_path_is_refused_when_built():
+    """`print_text` would write each of these paths as text that
+    `dsl.parse` rejects: `process = A B := 1;`, `A + B C`, `input A B;`."""
+    thimacs = [Thimac("A", store=md.Store(0))]
+
+    def static(update):
+        return build_model(thimacs, [Action("A", "create"),
+                                     Action("A", "process", update)], [], [])
+
+    for update, path in ((("A B", ex.Lit(1)), "A B"),
+                         (("A", ex.Chain(ex.PathRef("A"),
+                                         (("+", ex.PathRef("B C")),))),
+                          "B C")):
+        with pytest.raises(errors.ModelError) as exc:
+            static(update)
+        assert str(exc.value) == \
+            f"action 'A.process' update path {path!r} is not a .tm path"
+    model = static(None)
+    with pytest.raises(errors.ModelError) as exc:
+        eventize(model, "E1", "E1", ["A.create"], input_path="A B")
+    assert str(exc.value) == "event 'E1' input path 'A B' is not a .tm path"
+    regions = [eventize(model, "E1", "E1", ["A.create"]),
+               eventize(model, "E2", "E2", ["A.process"])]
+    guard = ex.Binary("=", ex.PathRef("B C"), ex.Lit(1))
+    with pytest.raises(errors.ModelError) as exc:
+        build_behavior(regions, [BehaviorEdge("E1", "E2", guard)])
+    assert str(exc.value) == \
+        "guard on E1 -> E2 reads 'B C', which is not a .tm path"
 
 
 def test_empty_model():
