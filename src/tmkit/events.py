@@ -4,16 +4,16 @@ An event region is a subdiagram of the static model; the behavioral model
 is a directed graph over regions whose edges mean precedence of first
 firing, optionally guarded by store predicates.
 
-Cost. A `BehavioralModel` builds its graph indexes, `incoming` and
-`successors`, in one pass over its edges on first use; entry and
-terminal events, the cycle and reachability walks and the simulator all
-read them. `covered_edges` indexes the flows and triggers each event
-covers, and the events those triggers reach, in one pass over the covers
-and one over the static flows and triggers. `check_behavior` builds that
-index once and tests each region on its own edges. It costs
-O(actions + flows + triggers + events + edges) once, an action or a
-static edge counting once per event that covers it and a trigger once
-more per event covering its target; nothing rescans the model per event.
+Cost. A `BehavioralModel` builds `incoming` and `successors` on first
+use, each in one pass over its edges; entry and terminal events, the
+cycle and reachability walks and the simulator all read them.
+`region_edges` reads one region's flows and triggers from the static
+model's `edges_from`, built once in one pass over the static edges, in
+time linear in its covers and the edges that leave them. So
+`check_behavior`, which tests each region on its own edges, costs
+O(actions + flows + triggers + events + edges) once, an action and the
+edges leaving it counting once per event that covers it; nothing
+rescans the model per event.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .errors import (DuplicateEventId, EmptyCover, ModelError,
                      UnknownActionPath, UnknownEvent)
 from .model import (FlowEdge, StaticModel, TriggerEdge, ValidationReport,
                     is_name, is_path)
-
-_NONE: frozenset[str] = frozenset()
-
 
 @record
 class EventRegion:
@@ -109,31 +106,13 @@ def eventize(model: StaticModel, event_id: str, label: str, cover_paths,
     return EventRegion(event_id, label, frozenset(paths), input_path)
 
 
-def covered_edges(model: StaticModel, events) \
-        -> dict[str, tuple[list[FlowEdge], list[TriggerEdge], set[str]]]:
-    """Event id -> (covered flows, covered triggers, reached events).
-
-    An edge is covered by an event when the event covers both its ends;
-    the flows and triggers are in static order. A covered trigger reaches
-    every event that covers its target. One pass over the covers and one
-    over the flows and triggers build the whole index.
-    """
-    covering: dict[str, set[str]] = {}
-    for event in events:
-        for aid in event.covers:
-            covering.setdefault(aid, set()).add(event.id)
-    index = {event.id: ([], [], set()) for event in events}
-    for edge in model.flows:
-        for eid in (covering.get(edge.src, _NONE)
-                    & covering.get(edge.dst, _NONE)):
-            index[eid][0].append(edge)
-    for edge in model.triggers:
-        reached = covering.get(edge.dst, _NONE)
-        for eid in covering.get(edge.src, _NONE) & reached:
-            _, triggers, reach = index[eid]
-            triggers.append(edge)
-            reach |= reached
-    return index
+def region_edges(model: StaticModel, covers) -> list[FlowEdge | TriggerEdge]:
+    """The flows and triggers of the region `covers`: the edges that
+    leave a covered action (`StaticModel.edges_from`) for a covered one,
+    grouped by source in the order `covers` iterates."""
+    edges_from = model.edges_from
+    return [edge for aid in covers for edge in edges_from.get(aid, ())
+            if edge.dst in covers]
 
 
 def _is_connected(covers, edges) -> bool:
@@ -184,15 +163,14 @@ def check_behavior(behavior: BehavioralModel,
     """Report guard resolution errors plus cycle/reachability warnings."""
     report = ValidationReport([])
     stores = model.stores
-    covered = covered_edges(model, behavior.events)
 
     for event in behavior.events:
         if event.input_path is not None and event.input_path not in stores:
             report.add("ERROR", event.id,
                        f"input path '{event.input_path}' has no store",
                        "InputPathUnstored")
-        flows, triggers, _ = covered[event.id]
-        if not _is_connected(event.covers, flows + triggers):
+        if not _is_connected(event.covers,
+                             region_edges(model, event.covers)):
             report.add("WARNING", event.id,
                        "covered subgraph is disconnected", "RegionDisconnected")
     for edge in behavior.edges:

@@ -139,6 +139,15 @@ class StaticModel:
         return by_owner
 
     @functools.cached_property
+    def edges_from(self) -> dict[str, list[FlowEdge | TriggerEdge]]:
+        """Action id -> the flows, then the triggers, that leave it, in
+        static order; an action that no edge leaves is absent."""
+        edges_from: dict[str, list[FlowEdge | TriggerEdge]] = {}
+        for edge in self.flows + self.triggers:
+            edges_from.setdefault(edge.src, []).append(edge)
+        return edges_from
+
+    @functools.cached_property
     def stores(self) -> dict[str, Store]:
         """Path -> store of each thimac that has one, in preorder; found
         here only for a model not from `build_model`, which fills it."""

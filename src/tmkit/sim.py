@@ -19,9 +19,9 @@ tokens of its covered flow predecessors to itself, and a Process action
 may rewrite a store by its update rule.
 
 Cost. A run reads the behavior graph's `incoming` and `successors`
-indexes and builds one `events.covered_edges` index, which also gives
-the events each event's triggers reach. Each event's plan, what a step
-reads of it, is built once per run, on its first candidacy: its gate
+indexes and maps each action to the repeatable events covering it. Each
+event's plan, what a step reads of it, is built once per run, on its
+first candidacy, from its region (`events.region_edges`): its gate
 (incoming edges, guards compiled by `expr.compiled`), whether its
 payload is missing, the repeatable events its triggers reach, and its
 firing steps, rules compiled and idle actions dropped, in O(k log k +
@@ -42,7 +42,7 @@ from . import model as md
 from ._json import json_list, scalar
 from ._record import record
 from .errors import FillPathUnstored, MissingInput, SimError, TypeMismatch
-from .events import BehavioralModel, EventRegion, covered_edges
+from .events import BehavioralModel, EventRegion, region_edges
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -123,7 +123,10 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     for eid in inputs:
         if behavior.event(eid).input_path is None:
             raise SimError(f"event '{eid}' declares no input")
-    covered = covered_edges(static, behavior.events)
+    repeaters: dict[str, set[str]] = {}  # action id -> repeatables on it
+    for eid in behavior.repeatable:
+        for aid in behavior.event(eid).covers:
+            repeaters.setdefault(aid, set()).add(eid)
     plans: dict[str, tuple] = {}  # event id -> its plan (`_next_enabled`)
     fired: set[str] = set()
     #: repeatable events a trigger has reached since they last fired
@@ -136,7 +139,7 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
 
     while True:
         plan = _next_enabled(plans, candidates, fired, stores, static,
-                             behavior, covered, inputs)
+                             behavior, repeaters, inputs)
         if plan is None:
             terminals = behavior.terminal_events()
             outcome = "Completed" if fired & terminals else "Stuck"
@@ -173,7 +176,7 @@ def simulate(static: md.StaticModel, behavior: BehavioralModel,
     return Trace(tuple(entries), outcome)
 
 
-def _steps(actions, event: EventRegion, flows):
+def _steps(actions, event: EventRegion, edges):
     """(actions in firing order, firing steps) of one event: (action id,
     is a Create, flow predecessors but itself, (target, compiled rule)
     or None) for each action but a non-Create with neither. The order is
@@ -181,9 +184,10 @@ def _steps(actions, event: EventRegion, flows):
     ready action first), or the sorted covers on a cycle."""
     preds: dict[str, list[str]] = {}
     succs: dict[str, list[str]] = {}
-    for edge in flows:
-        preds.setdefault(edge.dst, []).append(edge.src)
-        succs.setdefault(edge.src, []).append(edge.dst)
+    for edge in edges:
+        if type(edge) is md.FlowEdge:  # a trigger moves nothing
+            preds.setdefault(edge.dst, []).append(edge.src)
+            succs.setdefault(edge.src, []).append(edge.dst)
     pending = {aid: len(srcs) for aid, srcs in preds.items()}
     ready = [aid for aid in event.covers if aid not in pending]
     heapq.heapify(ready)
@@ -207,7 +211,7 @@ def _steps(actions, event: EventRegion, flows):
 
 
 def _next_enabled(plans, candidates, fired, stores, static, behavior,
-                  covered, inputs):
+                  repeaters, inputs):
     """The plan of the enabled candidate of smallest id, or None. A plan
     holds what a step reads of an event, fixed for one run, and is built
     on the event's first candidacy: (the event, its incoming edges as
@@ -216,13 +220,14 @@ def _next_enabled(plans, candidates, fired, stores, static, behavior,
     for eid in sorted(candidates):
         if eid not in plans:
             event = behavior.event(eid)
-            flows, _, reach = covered[eid]
+            region = region_edges(static, event.covers)
             plans[eid] = (event, tuple(
                 (edge.src, edge.guard and ex.compiled(edge.guard))
                 for edge in behavior.incoming.get(eid, ())),
                 event.input_path is not None and eid not in inputs,
-                (reach & behavior.repeatable) - {eid},
-                _steps(static.actions, event, flows))
+                {other for edge in region if type(edge) is md.TriggerEdge
+                 for other in repeaters.get(edge.dst, ())} - {eid},
+                _steps(static.actions, event, region))
         _, edges, missing, _, _ = plan = plans[eid]
         if edges:
             for src, guard in edges:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dsl_reference
 import tmkit
+from test_sim import LOOP
 from tmkit import cli, corpus, dsl
 from tmkit.model import VALUE_TYPES
 
@@ -786,11 +787,16 @@ print(json.dumps(results, indent=1))
 """
 
 
-def test_no_output_depends_on_the_hash_seed():
+def test_no_output_depends_on_the_hash_seed(tmp_path):
     # covers, the candidate set and trigger reach are sets of strings,
     # whose order PYTHONHASHSEED picks; one fresh interpreter per seed
-    # runs every command, as a process per command would take seconds
-    runs = []
+    # runs every command, as a process per command would take seconds;
+    # in LOOP, repeatable events re-enable each other through triggers
+    loop = tmp_path / "loop.tm"
+    loop.write_text(LOOP)
+    runs = [["check", str(loop)], ["fmt", str(loop)]]
+    runs += [["simulate", str(loop), "--world", "C=0", *form]
+             for form in ([], ["--trace-format", "json"])]
     for name, inputs in (("bank", [*_BANK_FILLS, "--input", "E9:150"]),
                          ("beef", ["--input", "E1:main dish"])):
         path = corpus.fixture_path(name)

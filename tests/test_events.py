@@ -1,15 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmkit import dsl, errors
 from tmkit import model as md
 from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
-                          check_behavior, covered_edges, eventize)
-
-
-def region_edges(model, region):
-    """Static flows and triggers with both endpoints covered."""
-    return covered_edges(model, [region])[region.id][:2]
+                          check_behavior, eventize, region_edges)
 
 
 def test_eventize_beef_fetch_region(beef):
@@ -21,17 +18,15 @@ def test_eventize_beef_fetch_region(beef):
     assert region.covers == {
         "Refrigerator.Sirloin.release", "Refrigerator.Sirloin.transfer",
         "Cook.Sirloin.transfer", "Cook.Sirloin.receive"}
-    flows, triggers = region_edges(static, region)
-    assert len(flows) == 3
-    assert triggers == []
+    edges = region_edges(static, region.covers)
+    assert [type(edge) for edge in edges] == [md.FlowEdge] * 3
 
 
 def test_eventize_maximal_region(beef):
     static, _, _ = beef
     region = eventize(static, "All", "everything", set(static.actions))
-    flows, triggers = region_edges(static, region)
-    assert len(flows) == len(static.flows)
-    assert len(triggers) == len(static.triggers)
+    assert Counter(region_edges(static, region.covers)) == \
+        Counter(static.flows + static.triggers)
 
 
 def test_eventize_refuses_an_id_that_is_no_tm_name(beef):
@@ -59,8 +54,7 @@ def test_region_edges_invent_nothing(parsed_corpus):
         known |= {(e.src, e.dst) for e in static.triggers}
         for region in events:
             assert region.covers <= set(static.actions)
-            flows, triggers = region_edges(static, region)
-            for edge in flows + triggers:
+            for edge in region_edges(static, region.covers):
                 assert (edge.src, edge.dst) in known
                 assert edge.src in region.covers
                 assert edge.dst in region.covers
@@ -189,18 +183,13 @@ def covered_models(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(covered_models())
-def test_covered_edges_is_the_per_event_filter(case):
+def test_region_edges_is_the_per_event_filter(case):
     static, events = case
-    index = covered_edges(static, events)
-    assert list(index) == [event.id for event in events]
+    edges = static.flows + static.triggers
+    # each source's flows, then its triggers, in static order
+    assert static.edges_from == {src: [e for e in edges if e.src == src]
+                                 for src in {e.src for e in edges}}
     for event in events:
         covers = event.covers
-        expected = (
-            [e for e in static.flows if e.src in covers and e.dst in covers],
-            [e for e in static.triggers
-             if e.src in covers and e.dst in covers])
-        assert index[event.id][:2] == expected
-        assert region_edges(static, event) == expected
-        assert index[event.id][2] == {
-            other.id for trigger in expected[1] for other in events
-            if trigger.dst in other.covers}
+        assert Counter(region_edges(static, covers)) == Counter(
+            e for e in edges if e.src in covers and e.dst in covers)

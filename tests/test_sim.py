@@ -1,3 +1,4 @@
+import functools
 import heapq
 import json
 import random
@@ -14,7 +15,7 @@ from tmkit import expr as ex
 from tmkit import model as md
 from tmkit._json import scalar
 from tmkit.events import (BehaviorEdge, EventRegion, build_behavior,
-                          covered_edges, eventize)
+                          eventize, region_edges)
 from tmkit.expr import UNSET, Binary, Lit, PathRef, Unary, chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -289,17 +290,40 @@ def test_arithmetic_type_error_is_a_guard_eval_error():
         sim.simulate(static, behavior, world)
 
 
-def test_plan_builds_the_covering_map_once(monkeypatch, beef):
-    static, _, behavior = beef
-    calls = []
+def test_a_run_builds_regions_only_for_the_events_it_plans(monkeypatch):
+    # a fanout run fires one root-to-leaf path of the tree and plans only
+    # the events along it and their siblings, 9 of 31
+    wl = gen.build("fanout", 1, 4)
+    static, _, behavior = dsl.parse(wl.source)
+    regions, planned, builds = [], [], []
 
-    def counted(model, events):
-        calls.append(len(events))
-        return covered_edges(model, events)
+    def counted_region(model, covers):
+        regions.append(covers)
+        return region_edges(model, covers)
 
-    monkeypatch.setattr(sim, "covered_edges", counted)
-    sim.simulate(static, behavior, sim.init_world(static), {"E1": "order"})
-    assert calls == [len(behavior.events)]
+    def counted_steps(actions, event, edges):
+        planned.append(event.id)
+        return build_steps(actions, event, edges)
+
+    def edges_from(model):
+        builds.append(model)
+        return index.func(model)
+
+    build_steps, index = sim._steps, md.StaticModel.edges_from
+    counted_index = functools.cached_property(edges_from)
+    counted_index.__set_name__(md.StaticModel, "edges_from")
+    monkeypatch.setattr(md.StaticModel, "edges_from", counted_index)
+    monkeypatch.setattr(sim, "region_edges", counted_region)
+    monkeypatch.setattr(sim, "_steps", counted_steps)
+    trace = sim.simulate(static, behavior, sim.init_world(static, wl.fills))
+    monkeypatch.undo()
+    assert len(behavior.events) == 31
+    assert len(trace.entries) == 5
+    assert len(planned) == len(set(planned)) == 9
+    assert set(trace.fired_events()) <= set(planned)
+    assert sorted(map(sorted, regions)) == sorted(
+        sorted(behavior.event(eid).covers) for eid in planned)
+    assert builds == [static]
 
 
 def test_simulate_rejects_a_budget_below_1(bank):
@@ -631,15 +655,25 @@ def _oracle_init_world(static, fills=None):
 def _oracle_simulate(static, behavior, world, inputs=None,
                      max_steps=sim.DEFAULT_MAX_STEPS):
     """The simulator that per-event plans replaced, with `init_world`
-    above: the oracle of the property below for one change, then
-    deleted."""
+    above: the oracle of the property below until the incremental
+    simulator, which re-tests only what a step can change, replaces it
+    with a copy of the simulator it changes. It finds covered flows and
+    trigger reach by filtering every static edge, so it shares no code
+    with `events`."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     inputs = inputs or {}
     for eid in inputs:
         if behavior.event(eid).input_path is None:
             raise errors.SimError(f"event '{eid}' declares no input")
-    covered = covered_edges(static, behavior.events)
+    covered = {}
+    for event in behavior.events:
+        covers = event.covers
+        covered[event.id] = (
+            [e for e in static.flows if e.src in covers and e.dst in covers],
+            {other.id for e in static.triggers
+             if e.src in covers and e.dst in covers
+             for other in behavior.events if e.dst in other.covers})
     successors, repeatable = behavior.successors, behavior.repeatable
     steps = {}
     gates = {}
@@ -658,7 +692,7 @@ def _oracle_simulate(static, behavior, world, inputs=None,
             outcome = "StepBudgetExhausted"
             break
         eid = event.id
-        flows, _, reach = covered[eid]
+        flows, reach = covered[eid]
         if eid not in steps:
             steps[eid] = _oracle_steps(static.actions, event, flows)
         entries.append(_oracle_fire(event, steps[eid], len(entries) + 1,

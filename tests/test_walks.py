@@ -1,9 +1,10 @@
 """`model._walk` is the one walk of the thimac tree, with no frame per level.
 
-Three checks: only the expression functions, whose depth the parser
+Four checks: only the expression functions, whose depth the parser
 bounds, call themselves; only `model._walk` steps through the thimac
-tree; and `print_text`, `emit_dot` and `tm_to_class`, which read that
-walk, give what recursive walks give, which are kept here as references.
+tree; `print_text`, `emit_dot` and `tm_to_class`, which read that
+walk, give what recursive walks give, which are kept here as references;
+and no event or simulator function scans every static edge.
 """
 
 import ast
@@ -64,6 +65,23 @@ def _tree_iterations():
 
 def test_only_model_walk_steps_through_the_thimac_tree():
     assert _tree_iterations() == {"model._walk"}
+
+
+def _static_edge_reads():
+    """`module.function` for each function in `events` or `sim` that reads
+    a `.flows` or `.triggers` attribute, as a scan of every static edge
+    does."""
+    return {name for name, node in _functions()
+            if name.partition(".")[0] in ("events", "sim")
+            for attribute in ast.walk(node)
+            if isinstance(attribute, ast.Attribute)
+            and attribute.attr in ("flows", "triggers")}
+
+
+def test_regions_are_read_through_the_static_edge_index():
+    # an event's region comes from `StaticModel.edges_from`, in time
+    # linear in its covers, never from a scan of every static edge
+    assert _static_edge_reads() == set()
 
 
 def _reference_text(static):
